@@ -1,0 +1,215 @@
+"""The recursion turning a tuple of commutators into a coordinate tuple
+whose ghost image vanishes, and the non-injectivity pipeline built on it.
+
+Given epsilons in [A,A], the recursion sets r_0 = eps_0 and
+
+    r_i = eps_i - sigma0( p^{-i} ( omega_i(r_0,...,r_{i-1},0)
+                                   - phi(omega_{i-1}(r_0,...,r_{i-1})) ) )
+
+where the inner difference is taken in A/[A,A] (divisibility by p^i only
+holds there) and sigma0 lifts back along least rotations.  The resulting
+tuple always ghost-maps to zero, yet its un-abelianized Witt-polynomial
+lift can fail the component-1 obstruction test, which is exactly the
+non-injectivity counterexample this module replays.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .freealg import FreePoly, commutator, phi_map
+from .cycquot import AbelPoly, abelianize, divide_exact, in_commutator_subgroup, sigma0
+from .ghost import CoordinateTuple, WittContext, ghost_map, witt_polynomial
+from .cdwitt import h_membership, omega_map
+
+
+class EpsilonNotCommutator(ValueError):
+    """An input polynomial is not in [A,A]; the recursion's divisibility
+    guarantee presumes commutator inputs."""
+
+
+class DegreeCapExceeded(RuntimeError):
+    """The recursion produced polynomials beyond the configured degree cap."""
+
+
+@dataclass(frozen=True)
+class RStep:
+    """Audit record for one recursion step: the abelianized difference that
+    was divided, and the divisor p^i."""
+
+    index: int
+    pre_division: AbelPoly
+    divisor: int
+
+
+@dataclass(frozen=True)
+class RResult:
+    coords: CoordinateTuple
+    audit: tuple[RStep, ...]
+
+
+def r_map(
+    epsilons: Sequence[FreePoly], ctx: WittContext, degree_cap: int = 64
+) -> RResult:
+    """Run the recursion on a tuple of commutator polynomials.
+
+    Raises EpsilonNotCommutator on invalid input, NotDivisible if a
+    division step fails (an internal-consistency violation), and
+    DegreeCapExceeded past the configured degree cap.
+    """
+    epsilons = list(epsilons)
+    if len(epsilons) < ctx.n:
+        epsilons += [FreePoly.zero(ctx.alphabet)] * (ctx.n - len(epsilons))
+    if len(epsilons) != ctx.n:
+        raise ValueError(f"expected at most {ctx.n} epsilons, got {len(epsilons)}")
+    for i, eps in enumerate(epsilons):
+        if not in_commutator_subgroup(eps):
+            raise EpsilonNotCommutator(f"epsilon {i} is not in [A,A]: {eps}")
+
+    rs: list[FreePoly] = [epsilons[0]]
+    audit: list[RStep] = []
+    for i in range(1, ctx.n):
+        partial = CoordinateTuple.of(
+            WittContext(ctx.alphabet, ctx.p, i + 1), rs + [FreePoly.zero(ctx.alphabet)]
+        )
+        high = abelianize(witt_polynomial(i, partial))
+        prev = CoordinateTuple.of(WittContext(ctx.alphabet, ctx.p, i), rs)
+        low = abelianize(phi_map(witt_polynomial(i - 1, prev), ctx.p))
+        diff = high - low
+        divisor = ctx.p**i
+        audit.append(RStep(i, diff, divisor))
+        r_i = epsilons[i] - sigma0(divide_exact(diff, divisor))
+        if r_i.degree != float("-inf") and r_i.degree > degree_cap:
+            raise DegreeCapExceeded(
+                f"r_{i} has degree {r_i.degree}, above the cap of {degree_cap}"
+            )
+        rs.append(r_i)
+    return RResult(CoordinateTuple.of(ctx, rs), tuple(audit))
+
+
+def check_ghost_vanishes(result: RResult) -> bool:
+    """The defining property of the recursion output: its ghost is zero."""
+    return ghost_map(result.coords).is_zero()
+
+
+def check_lemma_phi(x: FreePoly, k: int, p: int) -> bool:
+    """Check that x^{p^k} and phi(x^{p^{k-1}}) agree mod (p^k A + [A,A]),
+    and that phi preserves the commutator subgroup on brackets built from x."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    diff = abelianize(x ** (p**k) - phi_map(x ** (p ** (k - 1)), p))
+    modulus = p**k
+    if any(c % modulus for _, c in diff.terms()):
+        return False
+    # phi([A,A]) stays in [A,A]: probe with brackets of x against generators.
+    for name in x.alphabet.names:
+        g = FreePoly.generator(x.alphabet, name)
+        if not in_commutator_subgroup(phi_map(commutator(x, g), p)):
+            return False
+    return True
+
+
+# -- counterexample pipeline ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class ReportStep:
+    name: str
+    input: str
+    output: str
+    status: str  # "pass" or "fail"
+
+    def as_dict(self) -> dict:
+        return {
+            "name": self.name,
+            "input": self.input,
+            "output": self.output,
+            "status": self.status,
+        }
+
+
+@dataclass(frozen=True)
+class CounterexampleReport:
+    level: int
+    steps: tuple[ReportStep, ...]
+    status: str  # "PASS" or "FAILED"
+
+    def as_dict(self) -> dict:
+        return {
+            "level": self.level,
+            "status": self.status,
+            "steps": [s.as_dict() for s in self.steps],
+        }
+
+    def __str__(self) -> str:
+        lines = [f"counterexample report (level {self.level}): {self.status}"]
+        for s in self.steps:
+            lines.append(f"  [{s.status}] {s.name}: {s.input} -> {s.output}")
+        return "\n".join(lines)
+
+
+def counterexample_report(n: int = 2) -> CounterexampleReport:
+    """Replay the non-injectivity counterexample at p=2 over {X, Y}.
+
+    Runs the recursion on (XY - YX, 0, ..., 0), confirms its ghost
+    vanishes, lifts it through the Witt polynomials, and confirms entry 1
+    equals -XYXY + YXYX - XYYX - YXXY + 2XXYY and fails the obstruction
+    membership test.  Any failed assertion flips the report to FAILED.
+    """
+    from .freealg import Alphabet
+
+    if n < 2:
+        raise ValueError("the counterexample needs level >= 2")
+    alphabet = Alphabet(["X", "Y"])
+    ctx = WittContext(alphabet, 2, n)
+    x = FreePoly.generator(alphabet, "X")
+    y = FreePoly.generator(alphabet, "Y")
+    eps0 = commutator(x, y)
+
+    steps: list[ReportStep] = []
+    ok = True
+
+    result = r_map([eps0], ctx)
+    steps.append(
+        ReportStep("r_map", f"({eps0}, 0, ...)", str(result.coords), "pass")
+    )
+
+    vanishes = check_ghost_vanishes(result)
+    steps.append(
+        ReportStep(
+            "ghost_vanishes",
+            str(result.coords),
+            str(ghost_map(result.coords)),
+            "pass" if vanishes else "fail",
+        )
+    )
+    ok &= vanishes
+
+    lifted = omega_map(result.coords)
+    entry1 = lifted.entries[1]
+    expected = (
+        -FreePoly.monomial(alphabet, (0, 1, 0, 1))
+        + FreePoly.monomial(alphabet, (1, 0, 1, 0))
+        - FreePoly.monomial(alphabet, (0, 1, 1, 0))
+        - FreePoly.monomial(alphabet, (1, 0, 0, 1))
+        + 2 * FreePoly.monomial(alphabet, (0, 0, 1, 1))
+    )
+    matches = entry1 == expected
+    steps.append(
+        ReportStep("omega_entry1", str(result.coords), str(entry1), "pass" if matches else "fail")
+    )
+    ok &= matches
+
+    in_h = h_membership(entry1)
+    steps.append(
+        ReportStep(
+            "obstruction_membership",
+            str(entry1),
+            "in H" if in_h else "not in H",
+            "pass" if not in_h else "fail",
+        )
+    )
+    ok &= not in_h
+
+    return CounterexampleReport(n, tuple(steps), "PASS" if ok else "FAILED")
