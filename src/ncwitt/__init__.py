@@ -10,10 +10,8 @@ from .freealg import (
 )
 from .cycquot import (
     AbelPoly,
-    CircularWord,
     NotDivisible,
     abelianize,
-    circular_class,
     divide_exact,
     in_commutator_subgroup,
     least_rotation,
@@ -28,7 +26,6 @@ from .ghost import (
     ghost_map,
     w_add,
     w_equal,
-    w_from_coordinates,
     w_teichmuller,
     w_verschiebung,
     witt_polynomial,
@@ -58,6 +55,6 @@ from .rmap import (
     counterexample_report,
     r_map,
 )
-from .parser import ParseError, UnknownGenerator, format_poly, parse_poly
+from .parser import ParseError, UnknownGenerator, parse_poly
 
 __version__ = "0.1.0"

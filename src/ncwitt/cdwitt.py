@@ -14,13 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly, Word, commutator
-from .cycquot import AbelPoly, CircularWord, abelianize
+from .freealg import Alphabet, FreePoly, Word, commutator, word_key
+from .cycquot import AbelPoly, abelianize
 from .ghost import (
     ContextMismatch,
     CoordinateTuple,
     GhostVector,
     WittContext,
+    check_prime,
     witt_polynomial,
 )
 
@@ -35,8 +36,7 @@ class XVector:
     entries: tuple[FreePoly, ...]
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
+        check_prime(self.p)
         if not self.entries:
             raise ValueError("need at least one entry")
         for e in self.entries:
@@ -230,19 +230,19 @@ def check_component1_in_H(
 # -- GF(2) linear algebra over circular-word bases ------------------------
 
 
-def _collect_basis(polys: Sequence[AbelPoly], degree_bound: int) -> list[CircularWord]:
-    basis: set[CircularWord] = set()
+def _collect_basis(polys: Sequence[AbelPoly], degree_bound: int) -> list[Word]:
+    basis: set[Word] = set()
     for poly in polys:
         for cw, _ in poly.terms():
-            if cw.degree <= degree_bound:
+            if len(cw) <= degree_bound:
                 basis.add(cw)
-    return sorted(basis, key=CircularWord.sort_key)
+    return sorted(basis, key=word_key)
 
 
-def _to_bitset(poly: AbelPoly, index: dict[CircularWord, int], degree_bound: int) -> int:
+def _to_bitset(poly: AbelPoly, index: dict[Word, int], degree_bound: int) -> int:
     bits = 0
     for cw, c in poly.terms():
-        if cw.degree <= degree_bound and c % 2:
+        if len(cw) <= degree_bound and c % 2:
             bits |= 1 << index[cw]
     return bits
 

@@ -12,7 +12,7 @@ import sys
 
 from .freealg import Alphabet, AlphabetMismatch
 from .cycquot import NotDivisible, abelianize
-from .ghost import ContextMismatch, CoordinateTuple, WittContext, ghost_map
+from .ghost import ContextMismatch, CoordinateTuple, WittContext, check_prime, ghost_map
 from .cdwitt import h_membership, omega_map
 from .parser import ParseError, UnknownGenerator, parse_poly
 from .rmap import DegreeCapExceeded, EpsilonNotCommutator, r_map
@@ -78,7 +78,21 @@ def _alphabet(args) -> Alphabet:
     names = [n.strip() for n in args.alphabet.split(",") if n.strip()]
     if not names:
         raise UsageError("empty alphabet")
-    return Alphabet(names)
+    try:
+        return Alphabet(names)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
+def _check_flags(args) -> None:
+    try:
+        check_prime(args.p)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    # omega's level is the index of its last entry, so 0 is a one-entry lift
+    min_level = 0 if args.command == "omega" else 1
+    if args.level < min_level:
+        raise UsageError(f"--level must be at least {min_level}, got {args.level}")
 
 
 def _emit(args, payload: dict, text: str) -> None:
@@ -99,8 +113,13 @@ def _params(args) -> dict:
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error and 0 after --help
+        return exc.code
+    try:
+        _check_flags(args)
         alphabet = _alphabet(args)
 
         if args.command == "ghost":

@@ -94,9 +94,11 @@ def format_word(w: Word, alphabet: Alphabet) -> str:
     return sep.join(parts)
 
 
-class FreePoly:
-    """An element of the free ring Z{X,Y,...}: a finite integer combination
-    of words.  Terms with zero coefficient are never stored."""
+class SparseCombination:
+    """A finite integer combination of words over an alphabet: the sparse
+    Z-module arithmetic shared by FreePoly and AbelPoly.  Terms with zero
+    coefficient are never stored, and values are never mutated after
+    construction."""
 
     __slots__ = ("alphabet", "_terms")
 
@@ -112,11 +114,128 @@ class FreePoly:
                     clean[w] = c
         self._terms = clean
 
-    # -- constructors -------------------------------------------------
+    @classmethod
+    def _from_terms(cls, alphabet: Alphabet, terms: dict[Word, int]):
+        """Wrap a dict that already holds only valid, nonzero terms,
+        skipping validation.  The dict is owned by the result afterwards."""
+        out = cls.__new__(cls)
+        out.alphabet = alphabet
+        out._terms = terms
+        return out
 
     @classmethod
-    def zero(cls, alphabet: Alphabet) -> "FreePoly":
-        return cls(alphabet)
+    def zero(cls, alphabet: Alphabet):
+        return cls._from_terms(alphabet, {})
+
+    # -- basic queries ------------------------------------------------
+
+    def terms(self) -> Iterator[tuple[Word, int]]:
+        """Terms in canonical (degree, lex) order."""
+        for w in sorted(self._terms, key=word_key):
+            yield w, self._terms[w]
+
+    def coefficient(self, w: Word) -> int:
+        return self._terms.get(w, 0)
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.alphabet == other.alphabet and self._terms == other._terms
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, frozenset(self._terms.items())))
+
+    def _check_alphabet(self, other: "SparseCombination") -> None:
+        if self.alphabet != other.alphabet:
+            raise AlphabetMismatch(
+                f"cannot combine polynomials over {self.alphabet!r} and {other.alphabet!r}"
+            )
+
+    # -- module operations --------------------------------------------
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check_alphabet(other)
+        terms = dict(self._terms)
+        for w, c in other._terms.items():
+            s = terms.get(w, 0) + c
+            if s:
+                terms[w] = s
+            else:
+                terms.pop(w, None)
+        return self._from_terms(self.alphabet, terms)
+
+    def __neg__(self):
+        return self._from_terms(self.alphabet, {w: -c for w, c in self._terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        """Integer scaling; FreePoly extends this to the ring product."""
+        if not isinstance(other, int):
+            return NotImplemented
+        terms = {w: c * other for w, c in self._terms.items()} if other else {}
+        return self._from_terms(self.alphabet, terms)
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self * other
+        return NotImplemented
+
+    def reduce_mod(self, m: int):
+        """Reduce every coefficient to its representative in [0, m)."""
+        if m < 2:
+            raise ValueError("modulus must be at least 2")
+        return self._from_terms(
+            self.alphabet, {w: c % m for w, c in self._terms.items() if c % m}
+        )
+
+    # -- formatting ------------------------------------------------------
+
+    def _format_term(self, w: Word, mag: int) -> str:
+        """The body of one term with coefficient magnitude mag >= 1."""
+        raise NotImplementedError
+
+    def __str__(self) -> str:
+        if not self._terms:
+            return "0"
+        text = " ".join(
+            f"{'-' if c < 0 else '+'} {self._format_term(w, abs(c))}"
+            for w, c in self.terms()
+        )
+        # the leading sign is written as '-X', or dropped when it is '+'
+        return text[2:] if text[0] == "+" else "-" + text[2:]
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+class FreePoly(SparseCombination):
+    """An element of the free ring Z{X,Y,...}: a finite integer combination
+    of words."""
+
+    __slots__ = ()
+
+    # Bound here as well as inherited, so that each is an attribute of
+    # FreePoly itself: bench/tracing.py times methods it finds in the
+    # class's own namespace.
+    __add__ = SparseCombination.__add__
+    __str__ = SparseCombination.__str__
+
+    # -- constructors -------------------------------------------------
 
     @classmethod
     def one(cls, alphabet: Alphabet) -> "FreePoly":
@@ -134,81 +253,11 @@ class FreePoly:
     def monomial(cls, alphabet: Alphabet, word: Word, coeff: int = 1) -> "FreePoly":
         return cls(alphabet, {word: coeff})
 
-    # -- basic queries ------------------------------------------------
-
-    def terms(self) -> Iterator[tuple[Word, int]]:
-        """Terms in canonical (degree, lex) order."""
-        for w in sorted(self._terms, key=word_key):
-            yield w, self._terms[w]
-
-    def coefficient(self, w: Word) -> int:
-        return self._terms.get(w, 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    @property
-    def degree(self):
-        if not self._terms:
-            return MINUS_INFINITY
-        return max(len(w) for w in self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        return self.alphabet == other.alphabet and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash((self.alphabet, frozenset(self._terms.items())))
-
-    def _check_alphabet(self, other: "FreePoly") -> None:
-        if self.alphabet != other.alphabet:
-            raise AlphabetMismatch(
-                f"cannot combine polynomials over {self.alphabet!r} and {other.alphabet!r}"
-            )
-
     # -- ring operations ----------------------------------------------
 
-    def __add__(self, other: "FreePoly") -> "FreePoly":
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        self._check_alphabet(other)
-        terms = dict(self._terms)
-        for w, c in other._terms.items():
-            s = terms.get(w, 0) + c
-            if s:
-                terms[w] = s
-            else:
-                terms.pop(w, None)
-        out = FreePoly.zero(self.alphabet)
-        out._terms = terms
-        return out
-
-    def __neg__(self) -> "FreePoly":
-        out = FreePoly.zero(self.alphabet)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
-
-    def __sub__(self, other: "FreePoly") -> "FreePoly":
-        if not isinstance(other, FreePoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return FreePoly.zero(self.alphabet)
-            out = FreePoly.zero(self.alphabet)
-            out._terms = {w: c * other for w, c in self._terms.items()}
-            return out
         if not isinstance(other, FreePoly):
-            return NotImplemented
+            return super().__mul__(other)
         self._check_alphabet(other)
         terms: dict[Word, int] = {}
         for w1, c1 in self._terms.items():
@@ -219,14 +268,7 @@ class FreePoly:
                     terms[w] = s
                 else:
                     del terms[w]
-        out = FreePoly.zero(self.alphabet)
-        out._terms = terms
-        return out
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
+        return FreePoly._from_terms(self.alphabet, terms)
 
     def __pow__(self, k: int) -> "FreePoly":
         if not isinstance(k, int) or k < 0:
@@ -242,56 +284,35 @@ class FreePoly:
 
     # -- grading and filtration -----------------------------------------
 
+    @property
+    def degree(self):
+        if not self._terms:
+            return MINUS_INFINITY
+        return max(len(w) for w in self._terms)
+
     def graded_component(self, d: int) -> "FreePoly":
         """The degree-d homogeneous part."""
         if d < 0:
             raise ValueError("degree must be non-negative")
-        out = FreePoly.zero(self.alphabet)
-        out._terms = {w: c for w, c in self._terms.items() if len(w) == d}
-        return out
+        return FreePoly._from_terms(
+            self.alphabet, {w: c for w, c in self._terms.items() if len(w) == d}
+        )
 
     def filtration_split(self, n: int) -> tuple["FreePoly", "FreePoly"]:
         """Split as (degree < n part, degree >= n part); the high part lies
         in the n-th filtration step and low + high == self exactly."""
         if n < 0:
             raise ValueError("filtration level must be non-negative")
-        low = FreePoly.zero(self.alphabet)
-        high = FreePoly.zero(self.alphabet)
-        low._terms = {w: c for w, c in self._terms.items() if len(w) < n}
-        high._terms = {w: c for w, c in self._terms.items() if len(w) >= n}
-        return low, high
+        low = {w: c for w, c in self._terms.items() if len(w) < n}
+        high = {w: c for w, c in self._terms.items() if len(w) >= n}
+        return FreePoly._from_terms(self.alphabet, low), FreePoly._from_terms(self.alphabet, high)
 
-    def reduce_mod(self, m: int) -> "FreePoly":
-        """Reduce every coefficient to its representative in [0, m)."""
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        out = FreePoly.zero(self.alphabet)
-        out._terms = {w: c % m for w, c in self._terms.items() if c % m}
-        return out
-
-    # -- formatting ------------------------------------------------------
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for w, c in self.terms():
-            mag = abs(c)
-            if not w:
-                body = str(mag)
-            elif mag == 1:
-                body = format_word(w, self.alphabet)
-            else:
-                body = f"{mag}{'' if self.alphabet.single_char else '*'}{format_word(w, self.alphabet)}"
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        text = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            text += f" {sign} {body}"
-        return text
-
-    def __repr__(self) -> str:
-        return f"FreePoly({self})"
+    def _format_term(self, w: Word, mag: int) -> str:
+        if not w:
+            return str(mag)
+        if mag == 1:
+            return format_word(w, self.alphabet)
+        return f"{mag}{'' if self.alphabet.single_char else '*'}{format_word(w, self.alphabet)}"
 
 
 def commutator(f: FreePoly, g: FreePoly) -> FreePoly:
@@ -312,6 +333,4 @@ def phi_map(f: FreePoly, p: int) -> FreePoly:
             terms[wp] = s
         else:
             del terms[wp]
-    out = FreePoly.zero(f.alphabet)
-    out._terms = terms
-    return out
+    return FreePoly._from_terms(f.alphabet, terms)

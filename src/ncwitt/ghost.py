@@ -13,10 +13,18 @@ recovered from a ghost vector; nothing here needs that inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 from .freealg import Alphabet, FreePoly
 from .cycquot import AbelPoly, abelianize
+
+
+def check_prime(p: int) -> None:
+    """Raise ValueError unless p is a prime: p-typical Witt vectors and
+    the ghost recursion are defined only for a prime p."""
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p must be a prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -29,8 +37,7 @@ class WittContext:
     n: int
 
     def __post_init__(self):
-        if self.p < 2:
-            raise ValueError("p must be a prime >= 2")
+        check_prime(self.p)
         if self.n < 1:
             raise ValueError("truncation length must be >= 1")
 
@@ -113,12 +120,6 @@ def ghost_map(coords: CoordinateTuple) -> GhostVector:
     return GhostVector(
         ctx, tuple(abelianize(witt_polynomial(i, coords)) for i in range(ctx.n))
     )
-
-
-def w_from_coordinates(coords: CoordinateTuple) -> GhostVector:
-    """Alias of ghost_map: Witt vectors enter the system through coordinate
-    tuples and live as ghost vectors."""
-    return ghost_map(coords)
 
 
 def w_add(u: GhostVector, v: GhostVector) -> GhostVector:

@@ -9,8 +9,8 @@ Grammar (standard precedence, left-associative products):
 
 Juxtaposition multiplication (e.g. XYXY, 2XXYY) is allowed only when every
 generator name is a single character; multi-character alphabets require
-explicit '*'.  format_poly is the inverse: parsing a formatted polynomial
-returns it exactly.
+explicit '*'.  str(FreePoly) is the inverse: parsing a formatted
+polynomial returns it exactly.
 """
 
 from __future__ import annotations
@@ -168,8 +168,3 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
     if tok.kind != "end":
         raise ParseError(f"trailing input {tok.text!r}", tok.position)
     return result
-
-
-def format_poly(f: FreePoly) -> str:
-    """Canonical text form; parse_poly(format_poly(f)) == f."""
-    return str(f)

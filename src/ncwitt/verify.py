@@ -342,6 +342,7 @@ CHECK_IDS = (
     "omegar0",
     "counterexample",
     "commutative-sanity",
+    "pin",
 )
 
 DEFAULT_SEED = 20230817
@@ -371,6 +372,7 @@ def run_checks(
         "omegar0": lambda: check_omegar0_sweep(alphabet, p, seed),
         "counterexample": lambda: check_counterexample(level),
         "commutative-sanity": lambda: check_commutative_sanity(seed),
+        "pin": lambda: check_pin_sweep(alphabet, p, seed),
     }
     results = [runners[name]() for name in CHECK_IDS if name in selection]
     return VerifyReport(tuple(results))

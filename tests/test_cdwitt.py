@@ -31,6 +31,13 @@ def mono(ab, *letters, coeff=1):
     return FreePoly.monomial(ab, tuple(letters), coeff)
 
 
+class TestXVector:
+    @pytest.mark.parametrize("p", [1, 4, 6])
+    def test_rejects_non_prime(self, ab, p):
+        with pytest.raises(ValueError, match="prime"):
+            XVector(ab, p, (FreePoly.zero(ab),))
+
+
 class TestTeichmuller:
     def test_zero(self, ab):
         assert x_teichmuller(ab, 2, FreePoly.zero(ab), 3).is_zero()

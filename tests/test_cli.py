@@ -109,6 +109,7 @@ class TestVerifyCommand:
             "omegar0",
             "counterexample",
             "commutative-sanity",
+            "pin",
         ):
             assert f"[pass] {check_id}" in out
 
@@ -121,6 +122,43 @@ class TestVerifyCommand:
         code, _, err = capture("verify", "no-such-check")
         assert code == 1
         assert "unknown check ids" in err
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("p", ["1", "4", "6"])
+    def test_non_prime_p(self, capture, p):
+        code, _, err = capture("ghost", "--p", p, "X")
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    def test_level_below_one(self, capture, level):
+        code, _, err = capture("ghost", "--level", level, "X")
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    def test_omega_level_zero_is_valid(self, capture):
+        # omega's level is the index of its last entry
+        code, out, _ = capture("omega", "--level", "0", "X")
+        assert code == 0
+        assert out == "(X)"
+
+    @pytest.mark.parametrize("alphabet", ["X,X", "X+,Y"])
+    def test_bad_alphabet(self, capture, alphabet):
+        code, _, err = capture("abelianize", "--alphabet", alphabet, "X")
+        assert code == 2
+        assert err.startswith("usage error:")
+
+    def test_argparse_error_returns_two(self, capture):
+        # text starting with '-' reads as an unknown flag unless passed after --
+        code, _, err = capture("abelianize", "-XY")
+        assert code == 2
+        assert "the following arguments are required: poly" in err
+
+    def test_help_returns_zero(self, capture):
+        code, out, _ = capture("--help")
+        assert code == 0
+        assert "usage:" in out
 
 
 class TestJsonSchema:

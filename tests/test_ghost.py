@@ -13,7 +13,6 @@ from ncwitt import (
     ghost_map,
     w_add,
     w_equal,
-    w_from_coordinates,
     w_teichmuller,
     w_verschiebung,
     witt_polynomial,
@@ -29,6 +28,17 @@ def ctx2(ab):
 @pytest.fixture
 def ctx3(ab):
     return WittContext(ab, 2, 3)
+
+
+class TestWittContext:
+    @pytest.mark.parametrize("p", [1, 4, 6])
+    def test_rejects_non_prime(self, ab, p):
+        with pytest.raises(ValueError, match="prime"):
+            WittContext(ab, p, 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_accepts_prime(self, ab, p):
+        assert WittContext(ab, p, 2).p == p
 
 
 class TestWittPolynomial:
@@ -76,10 +86,6 @@ class TestGhostMap:
                     assert g.components[j].is_zero()
                 else:
                     assert g.components[j] == (2**i) * abelianize(a ** (2 ** (j - i)))
-
-    def test_alias(self, ctx2, X, Y):
-        coords = CoordinateTuple.of(ctx2, [X, Y])
-        assert w_equal(w_from_coordinates(coords), ghost_map(coords))
 
 
 class TestGroupStructure:
