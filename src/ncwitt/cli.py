@@ -157,6 +157,8 @@ def run(argv=None) -> int:
             return 0
 
         if args.command == "hmember":
+            if len(alphabet) != 2:
+                raise UsageError("H is defined only over a two-generator alphabet")
             member = h_membership(parse_poly(args.poly, alphabet))
             text = "true" if member else "false"
             _emit(args, {"command": "hmember", "params": _params(args), "result": member}, text)

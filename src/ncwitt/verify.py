@@ -2,14 +2,15 @@
 through the command line.
 
 Every sweep draws from a seeded generator, so a run with the same seed is
-fully deterministic.  Each check returns a CheckResult; run_checks
-aggregates them into a VerifyReport.
+fully deterministic.  Each check returns whether it passed and its
+details; the table of checks below gives each one its id and description,
+and run_checks aggregates the results into a VerifyReport.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 from .freealg import Alphabet, FreePoly, commutator, phi_map
@@ -92,12 +93,7 @@ class CheckResult:
         return self.status == "pass"
 
     def as_dict(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "description": self.description,
-            "status": self.status,
-            "details": self.details,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -120,7 +116,7 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def check_wagen(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> CheckResult:
+def check_wagen(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> tuple[bool, str]:
     """Ghost of a coordinate tuple decomposes as a sum of shifted
     Teichmuller ghosts, for random coordinates at lengths up to 4."""
     rng = random.Random(seed)
@@ -133,15 +129,10 @@ def check_wagen(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> Check
         )
         if not check_wagen_decomposition(coords):
             failures.append(str(coords))
-    return _result(
-        "wagen",
-        "ghost decomposition into shifted Teichmuller ghosts",
-        failures,
-        cases,
-    )
+    return _tally(failures, cases)
 
 
-def check_bracket_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> CheckResult:
+def check_bracket_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> tuple[bool, str]:
     """Commutators of shifted Teichmuller products reduce to the single
     generator formula, entrywise, for all m <= n_shift <= 2."""
     rng = random.Random(seed)
@@ -159,15 +150,10 @@ def check_bracket_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 20) 
                 total += 1
                 if not check_bracket_identity(m, n_shift, a_factors, b_factors, level=3, p=p):
                     failures.append(f"m={m}, n_shift={n_shift}")
-    return _result(
-        "bracket-identity",
-        "commutator of shifted products equals the scaled shifted bracket",
-        failures,
-        total,
-    )
+    return _tally(failures, total)
 
 
-def check_phi_sweep(alphabet: Alphabet, seed: int, cases: int = 20) -> CheckResult:
+def check_phi_sweep(alphabet: Alphabet, seed: int, cases: int = 20) -> tuple[bool, str]:
     """p-power congruence for the word-power map, at p in {2, 3}, k <= 2."""
     rng = random.Random(seed)
     failures = []
@@ -177,15 +163,10 @@ def check_phi_sweep(alphabet: Alphabet, seed: int, cases: int = 20) -> CheckResu
         x = sample_poly(rng, alphabet, 2, 3)
         if not check_lemma_phi(x, k, p):
             failures.append(f"x={x}, k={k}, p={p}")
-    return _result(
-        "lemma-phi",
-        "x^(p^k) agrees with the word-power map of x^(p^(k-1)) mod p^k and brackets",
-        failures,
-        cases,
-    )
+    return _tally(failures, cases)
 
 
-def check_thelemma_sweep(alphabet: Alphabet, seed: int, cases: int = 30) -> CheckResult:
+def check_thelemma_sweep(alphabet: Alphabet, seed: int, cases: int = 30) -> tuple[bool, str]:
     """Component 1 of every commutator generator lies in the obstruction
     ideal H: all m <= n_shift <= 1 sampled, plus every m=n_shift=0 pair of
     single words of degree 1 or 2."""
@@ -210,15 +191,10 @@ def check_thelemma_sweep(alphabet: Alphabet, seed: int, cases: int = 30) -> Chec
         total += 1
         if not check_component1_in_H(m, n_shift, a_factors, b_factors):
             failures.append(f"m={m}, n_shift={n_shift}")
-    return _result(
-        "lemma-thelemma",
-        "component 1 of commutator generators lies in the obstruction ideal",
-        failures,
-        total,
-    )
+    return _tally(failures, total)
 
 
-def check_xyc(alphabet: Alphabet) -> CheckResult:
+def check_xyc(alphabet: Alphabet) -> tuple[bool, str]:
     """The class of X^2Y^2 is outside the GF(2) span of word squares in
     degrees <= 4, while the control targets XYXY and X^4 are inside."""
     generators = square_class_generators(alphabet)
@@ -229,21 +205,12 @@ def check_xyc(alphabet: Alphabet) -> CheckResult:
     control2 = f2_span_membership(
         abelianize(FreePoly.monomial(alphabet, (0, 0, 0, 0))), generators, 4
     )
-    ok = outside and control1 and control2
-    details = (
-        "target outside span; controls inside"
-        if ok
-        else f"outside={outside}, control_xyxy={control1}, control_x4={control2}"
-    )
-    return CheckResult(
-        "lemma-xyc",
-        "the class of X^2Y^2 is not a square mod 2 below degree 5",
-        "pass" if ok else "fail",
-        details,
-    )
+    if outside and control1 and control2:
+        return True, "target outside span; controls inside"
+    return False, f"outside={outside}, control_xyxy={control1}, control_x4={control2}"
 
 
-def check_omegar0_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 10) -> CheckResult:
+def check_omegar0_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 10) -> tuple[bool, str]:
     """Ghost vanishing for the recursion output on random commutator
     tuples at lengths up to 3."""
     rng = random.Random(seed)
@@ -255,25 +222,15 @@ def check_omegar0_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 10) 
         result = r_map(eps, ctx, degree_cap=128)
         if not check_ghost_vanishes(result):
             failures.append(str(result.coords))
-    return _result(
-        "omegar0",
-        "the recursion output ghost-maps to zero",
-        failures,
-        cases,
-    )
+    return _tally(failures, cases)
 
 
-def check_counterexample(level: int = 2) -> CheckResult:
+def check_counterexample(level: int = 2) -> tuple[bool, str]:
     report = counterexample_report(max(level, 2))
-    return CheckResult(
-        "counterexample",
-        "the component-1 obstruction defeats injectivity of the ghost analogue",
-        "pass" if report.status == "PASS" else "fail",
-        str(report),
-    )
+    return report.status == "PASS", str(report)
 
 
-def check_pin_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> CheckResult:
+def check_pin_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> tuple[bool, str]:
     """Abelianizing the Witt-polynomial lift recovers the ghost map."""
     rng = random.Random(seed)
     failures = []
@@ -285,12 +242,7 @@ def check_pin_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> C
         )
         if not w_equal(x_abelianize(omega_map(coords)), ghost_map(coords)):
             failures.append(str(coords))
-    return _result(
-        "pin",
-        "abelianized Witt-polynomial lift equals the ghost map",
-        failures,
-        cases,
-    )
+    return _tally(failures, cases)
 
 
 def classical_witt_sum(x0, x1, y0, y1):
@@ -300,7 +252,7 @@ def classical_witt_sum(x0, x1, y0, y1):
     return x0 + y0, x1 + y1 - x0 * y0
 
 
-def check_commutative_sanity(seed: int, cases: int = 20) -> CheckResult:
+def check_commutative_sanity(seed: int, cases: int = 20) -> tuple[bool, str]:
     """On a one-generator alphabet the ring is commutative; ghost addition
     must agree with the classical Witt sum."""
     alphabet = Alphabet(["T"])
@@ -317,33 +269,57 @@ def check_commutative_sanity(seed: int, cases: int = 20) -> CheckResult:
         rhs = ghost_map(CoordinateTuple.of(ctx, [s0, s1]))
         if not w_equal(lhs, rhs):
             failures.append(f"x=({x0},{x1}), y=({y0},{y1})")
-    return _result(
-        "commutative-sanity",
-        "ghost addition agrees with classical Witt addition on one generator",
-        failures,
-        cases,
-    )
+    return _tally(failures, cases)
 
 
-def _result(check_id: str, description: str, failures: list, total: int) -> CheckResult:
+def _tally(failures: list, total: int) -> tuple[bool, str]:
     if failures:
-        return CheckResult(
-            check_id, description, "fail", f"{len(failures)}/{total} failed: {failures[:3]}"
-        )
-    return CheckResult(check_id, description, "pass", f"{total} cases")
+        return False, f"{len(failures)}/{total} failed: {failures[:3]}"
+    return True, f"{total} cases"
 
 
-CHECK_IDS = (
-    "wagen",
-    "bracket-identity",
-    "lemma-phi",
-    "lemma-thelemma",
-    "lemma-xyc",
-    "omegar0",
-    "counterexample",
-    "commutative-sanity",
-    "pin",
-)
+#: Every named check, in report order: its id, its description, and a
+#: runner (alphabet, p, level, seed) -> (passed, details).
+_CHECKS: dict[str, tuple[str, Callable[[Alphabet, int, int, int], tuple[bool, str]]]] = {
+    "wagen": (
+        "ghost decomposition into shifted Teichmuller ghosts",
+        lambda alphabet, p, level, seed: check_wagen(alphabet, p, seed),
+    ),
+    "bracket-identity": (
+        "commutator of shifted products equals the scaled shifted bracket",
+        lambda alphabet, p, level, seed: check_bracket_sweep(alphabet, p, seed),
+    ),
+    "lemma-phi": (
+        "x^(p^k) agrees with the word-power map of x^(p^(k-1)) mod p^k and brackets",
+        lambda alphabet, p, level, seed: check_phi_sweep(alphabet, seed),
+    ),
+    "lemma-thelemma": (
+        "component 1 of commutator generators lies in the obstruction ideal",
+        lambda alphabet, p, level, seed: check_thelemma_sweep(alphabet, seed),
+    ),
+    "lemma-xyc": (
+        "the class of X^2Y^2 is not a square mod 2 below degree 5",
+        lambda alphabet, p, level, seed: check_xyc(alphabet),
+    ),
+    "omegar0": (
+        "the recursion output ghost-maps to zero",
+        lambda alphabet, p, level, seed: check_omegar0_sweep(alphabet, p, seed),
+    ),
+    "counterexample": (
+        "the component-1 obstruction defeats injectivity of the ghost analogue",
+        lambda alphabet, p, level, seed: check_counterexample(level),
+    ),
+    "commutative-sanity": (
+        "ghost addition agrees with classical Witt addition on one generator",
+        lambda alphabet, p, level, seed: check_commutative_sanity(seed),
+    ),
+    "pin": (
+        "abelianized Witt-polynomial lift equals the ghost map",
+        lambda alphabet, p, level, seed: check_pin_sweep(alphabet, p, seed),
+    ),
+}
+
+CHECK_IDS = tuple(_CHECKS)
 
 DEFAULT_SEED = 20230817
 
@@ -355,24 +331,19 @@ def run_checks(
     level: int = 2,
     seed: int = DEFAULT_SEED,
 ) -> VerifyReport:
-    """Run the named checks and aggregate a report.  Results are ordered
-    by check id, independent of execution order."""
+    """Run the named checks and aggregate a report.  Results follow the
+    order of the check table, independent of the order of the selection."""
     if alphabet is None:
         alphabet = Alphabet(["X", "Y"])
     unknown = [s for s in selection if s not in CHECK_IDS]
     if unknown:
         raise ValueError(f"unknown check ids: {unknown}; valid ids: {list(CHECK_IDS)}")
 
-    runners: dict[str, Callable[[], CheckResult]] = {
-        "wagen": lambda: check_wagen(alphabet, p, seed),
-        "bracket-identity": lambda: check_bracket_sweep(alphabet, p, seed),
-        "lemma-phi": lambda: check_phi_sweep(alphabet, seed),
-        "lemma-thelemma": lambda: check_thelemma_sweep(alphabet, seed),
-        "lemma-xyc": lambda: check_xyc(alphabet),
-        "omegar0": lambda: check_omegar0_sweep(alphabet, p, seed),
-        "counterexample": lambda: check_counterexample(level),
-        "commutative-sanity": lambda: check_commutative_sanity(seed),
-        "pin": lambda: check_pin_sweep(alphabet, p, seed),
-    }
-    results = [runners[name]() for name in CHECK_IDS if name in selection]
+    results = []
+    for check_id, (description, runner) in _CHECKS.items():
+        if check_id in selection:
+            passed, details = runner(alphabet, p, level, seed)
+            results.append(
+                CheckResult(check_id, description, "pass" if passed else "fail", details)
+            )
     return VerifyReport(tuple(results))

@@ -149,6 +149,12 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("alphabet", ["X", "X,Y,Z"])
+    def test_hmember_needs_two_generators(self, capture, alphabet):
+        code, _, err = capture("hmember", "--alphabet", alphabet, "X")
+        assert code == 2
+        assert err.startswith("usage error:")
+
     def test_argparse_error_returns_two(self, capture):
         # text starting with '-' reads as an unknown flag unless passed after --
         code, _, err = capture("abelianize", "-XY")

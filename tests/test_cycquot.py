@@ -1,3 +1,6 @@
+from itertools import product
+from math import gcd
+
 import pytest
 
 from ncwitt import (
@@ -40,6 +43,23 @@ class TestCircularClass:
         for _ in range(50):
             w = tuple(rng.randrange(2) for _ in range(rng.randint(0, 8)))
             assert least_rotation(w) == brute_least_rotation(w)
+
+
+def necklace_count(k, d):
+    # (1/d) * sum over e | d of phi(e) * k^(d/e)
+    def phi(e):
+        return sum(1 for j in range(1, e + 1) if gcd(j, e) == 1)
+
+    return sum(phi(e) * k ** (d // e) for e in range(1, d + 1) if d % e == 0) // d
+
+
+class TestNecklaceCount:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_classes_match_necklace_formula(self, k, d):
+        classes = {least_rotation(w) for w in product(range(k), repeat=d)}
+        assert len(classes) == necklace_count(k, d)
+        assert all(least_rotation(c) == c for c in classes)
 
 
 class TestAbelianize:

@@ -1,0 +1,37 @@
+"""Byte-identical CLI output: each command's stdout must equal the file
+captured under tests/golden/.  Regenerate a file only when a change of
+output is intended, and say so in the change log."""
+
+from contextlib import redirect_stdout
+from io import StringIO
+from pathlib import Path
+
+import pytest
+
+from ncwitt.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# Small levels only: p = 3 at level >= 4 and p = 2 at level >= 6 exhaust memory.
+CASES = {
+    "verify_all.json": ["verify", "--all", "--format", "json"],
+    "verify_counterexample_l4.json": ["verify", "counterexample", "--level", "4", "--format", "json"],
+    "rmap_l4.txt": ["rmap", "--level", "4", "XY-YX"],
+    "omega_l3.txt": ["omega", "--level", "3", "XY-YX", "X^2+Y", "3XYY"],
+    "ghost_p3_l3.txt": ["ghost", "--p", "3", "--level", "3", "XY-YX", "X+2Y"],
+    "abelianize.txt": ["abelianize", "XYYX + 3YXXY - XYXY"],
+    "hmember.txt": ["hmember", "XYYX + 3YXXY - XYXY"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_golden(name):
+    out = StringIO()
+    with redirect_stdout(out):
+        code = run(CASES[name])
+    assert code == 0
+    assert out.getvalue() == (GOLDEN / name).read_text()
+
+
+def test_every_golden_file_is_checked():
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)

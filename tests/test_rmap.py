@@ -24,6 +24,16 @@ def mono(ab, *letters, coeff=1):
     return FreePoly.monomial(ab, tuple(letters), coeff)
 
 
+def mutated_result(ab, X, Y):
+    # the level-2 recursion output on XY - YX with r_1 replaced by 0
+    ctx = WittContext(ab, 2, 2)
+    result = r_map([commutator(X, Y)], ctx)
+    return RResult(
+        CoordinateTuple.of(ctx, [result.coords.coords[0], FreePoly.zero(ab)]),
+        result.audit,
+    )
+
+
 class TestRMap:
     def test_zero_input(self, ab):
         ctx = WittContext(ab, 2, 3)
@@ -105,13 +115,7 @@ class TestGhostVanishes:
             assert check_ghost_vanishes(r_map(eps, ctx, degree_cap=128))
 
     def test_mutated_result_fails(self, ab, X, Y):
-        ctx = WittContext(ab, 2, 2)
-        result = r_map([commutator(X, Y)], ctx)
-        mutated = RResult(
-            CoordinateTuple.of(ctx, [result.coords.coords[0], FreePoly.zero(ab)]),
-            result.audit,
-        )
-        assert not check_ghost_vanishes(mutated)
+        assert not check_ghost_vanishes(mutated_result(ab, X, Y))
 
 
 class TestLemmaPhi:
@@ -159,6 +163,22 @@ class TestCounterexampleReport:
     def test_rejects_small_level(self):
         with pytest.raises(ValueError):
             counterexample_report(1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_ghost_step_is_ghost_map(self, ab, X, Y, n):
+        # the report's abelianized lift prints exactly as ghost_map would
+        report = counterexample_report(n)
+        step = next(s for s in report.steps if s.name == "ghost_vanishes")
+        result = r_map([commutator(X, Y)], WittContext(ab, 2, n))
+        assert step.output == str(ghost_map(result.coords))
+
+    def test_mutated_recursion_fails_report(self, monkeypatch, ab, X, Y):
+        mutated = mutated_result(ab, X, Y)
+        monkeypatch.setattr("ncwitt.rmap.r_map", lambda eps, ctx: mutated)
+        report = counterexample_report(2)
+        assert report.status == "FAILED"
+        step = next(s for s in report.steps if s.name == "ghost_vanishes")
+        assert step.status == "fail"
 
     def test_report_serializes(self):
         d = counterexample_report(2).as_dict()
