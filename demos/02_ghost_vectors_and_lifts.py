@@ -12,12 +12,10 @@ from ncwitt import (
     check_wagen_decomposition,
     ghost_map,
     omega_map,
-    w_equal,
+    verschiebung,
     w_teichmuller,
-    w_verschiebung,
     x_abelianize,
     x_teichmuller,
-    x_verschiebung,
 )
 
 ab = Alphabet(["X", "Y"])
@@ -32,13 +30,14 @@ print("ghost(coords)   =", ghost_map(coords))
 
 # Every tuple decomposes into shifted Teichmuller ghosts.
 print("decomposes?     ", check_wagen_decomposition(coords))
-print("V<X> ghost      =", w_verschiebung(w_teichmuller(ctx, X)))
+print("V<X> ghost      =", verschiebung(w_teichmuller(ctx, X)))
 
-# The componentwise lift: Teichmuller is (a, a^2, a^4, ...) and the shift
-# multiplies by p.  Its Witt-polynomial image abelianizes back to the ghost.
+# The componentwise lift: Teichmuller is (a, a^2, a^4, ...) and the same
+# Verschiebung shifts and multiplies by p.  Its Witt-polynomial image
+# abelianizes back to the ghost.
 print()
-print("<X> lift        =", x_teichmuller(ab, 2, X, 2))
-print("V<X> lift       =", x_verschiebung(x_teichmuller(ab, 2, X, 2)))
+print("<X> lift        =", x_teichmuller(ctx, X))
+print("V<X> lift       =", verschiebung(x_teichmuller(ctx, X)))
 lifted = omega_map(coords)
 print("lift of coords  =", lifted)
-print("diagram commutes?", w_equal(x_abelianize(lifted), ghost_map(coords)))
+print("diagram commutes?", x_abelianize(lifted) == ghost_map(coords))

@@ -24,10 +24,8 @@ from .ghost import (
     WittContext,
     check_wagen_decomposition,
     ghost_map,
-    w_add,
-    w_equal,
+    verschiebung,
     w_teichmuller,
-    w_verschiebung,
     witt_polynomial,
 )
 from .cdwitt import (
@@ -40,10 +38,7 @@ from .cdwitt import (
     h_membership,
     omega_map,
     x_abelianize,
-    x_add,
-    x_mul,
     x_teichmuller,
-    x_verschiebung,
 )
 from .rmap import (
     CounterexampleReport,

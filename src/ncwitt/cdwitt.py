@@ -1,4 +1,4 @@
-"""Truncated Cuntz-Deninger vectors: tuples in A^{n+1} generated by
+"""Truncated Cuntz-Deninger vectors: tuples in A^n generated by
 Verschiebung shifts of Teichmuller products, with componentwise ring
 operations.
 
@@ -11,94 +11,34 @@ through degree-bounded quotients mod 2, via the GF(2) span check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly, Word, commutator, word_key
+from .freealg import Alphabet, FreePoly, Word, word_key
 from .cycquot import AbelPoly, abelianize
 from .ghost import (
-    ContextMismatch,
+    AdditiveWittTuple,
     CoordinateTuple,
     GhostVector,
     WittContext,
-    check_prime,
+    verschiebung,
     witt_polynomial,
 )
 
 
-@dataclass(frozen=True)
-class XVector:
-    """An element of the truncated Cuntz-Deninger group: a tuple of
-    level+1 free polynomials, indices 0..level."""
+class XVector(AdditiveWittTuple):
+    """An element of the truncated Cuntz-Deninger group: n free
+    polynomials, indices 0..n-1.  On top of the entrywise group law it
+    has the componentwise product (the ambient product ring)."""
 
-    alphabet: Alphabet
-    p: int
-    entries: tuple[FreePoly, ...]
-
-    def __post_init__(self):
-        check_prime(self.p)
-        if not self.entries:
-            raise ValueError("need at least one entry")
-        for e in self.entries:
-            if e.alphabet != self.alphabet:
-                raise ContextMismatch("entry alphabet differs from vector alphabet")
-
-    @property
-    def level(self) -> int:
-        return len(self.entries) - 1
-
-    @classmethod
-    def zero(cls, alphabet: Alphabet, p: int, level: int) -> "XVector":
-        return cls(alphabet, p, tuple(FreePoly.zero(alphabet) for _ in range(level + 1)))
-
-    def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+    def __mul__(self, other):
+        if not isinstance(other, XVector):
+            return super().__mul__(other)
+        return XVector(self.context, tuple(a * b for a, b in self._pairs(other)))
 
 
-def _check_compatible(x: XVector, y: XVector) -> None:
-    if x.alphabet != y.alphabet or x.p != y.p or x.level != y.level:
-        raise ContextMismatch("incompatible vectors")
-
-
-def x_teichmuller(alphabet: Alphabet, p: int, a: FreePoly, level: int) -> XVector:
-    """The Teichmuller lift (a, a^p, a^{p^2}, ..., a^{p^level})."""
-    if a.alphabet != alphabet:
-        raise ContextMismatch("alphabet mismatch")
-    return XVector(alphabet, p, tuple(a ** (p**i) for i in range(level + 1)))
-
-
-def x_verschiebung(x: XVector) -> XVector:
-    """V(a_0,...,a_n) = p (0, a_0, ..., a_{n-1})."""
-    shifted = (FreePoly.zero(x.alphabet),) + tuple(
-        x.p * e for e in x.entries[:-1]
-    )
-    return XVector(x.alphabet, x.p, shifted)
-
-
-def x_add(x: XVector, y: XVector) -> XVector:
-    _check_compatible(x, y)
-    return XVector(x.alphabet, x.p, tuple(a + b for a, b in zip(x.entries, y.entries)))
-
-
-def x_neg(x: XVector) -> XVector:
-    return XVector(x.alphabet, x.p, tuple(-e for e in x.entries))
-
-
-def x_sub(x: XVector, y: XVector) -> XVector:
-    return x_add(x, x_neg(y))
-
-
-def x_mul(x: XVector, y: XVector) -> XVector:
-    """Componentwise product (the ambient product ring structure)."""
-    _check_compatible(x, y)
-    return XVector(x.alphabet, x.p, tuple(a * b for a, b in zip(x.entries, y.entries)))
-
-
-def x_scale(x: XVector, c: int) -> XVector:
-    return XVector(x.alphabet, x.p, tuple(c * e for e in x.entries))
+def x_teichmuller(ctx: WittContext, a: FreePoly) -> XVector:
+    """The Teichmuller lift (a, a^p, a^{p^2}, ..., a^{p^{n-1}})."""
+    return XVector(ctx, tuple(a ** (ctx.p**i) for i in range(ctx.n)))
 
 
 def omega_map(coords: CoordinateTuple) -> XVector:
@@ -106,37 +46,31 @@ def omega_map(coords: CoordinateTuple) -> XVector:
     Witt polynomial, un-abelianized.  Equals the finite sum of V^i applied
     to the Teichmuller lift of a_i, truncated at the same level."""
     ctx = coords.context
-    return XVector(
-        ctx.alphabet, ctx.p, tuple(witt_polynomial(j, coords) for j in range(ctx.n))
-    )
+    return XVector(ctx, tuple(witt_polynomial(j, coords) for j in range(ctx.n)))
 
 
 def omega_as_teichmuller_sum(coords: CoordinateTuple) -> XVector:
     """The right-hand side of the decomposition behind omega_map, computed
     the slow way from the V / Teichmuller generators."""
     ctx = coords.context
-    level = ctx.n - 1
-    total = XVector.zero(ctx.alphabet, ctx.p, level)
-    for i, a in enumerate(coords.coords):
-        term = x_teichmuller(ctx.alphabet, ctx.p, a, level)
+    total = XVector.of(ctx)
+    for i, a in enumerate(coords.entries):
+        term = x_teichmuller(ctx, a)
         for _ in range(i):
-            term = x_verschiebung(term)
-        total = x_add(total, term)
+            term = verschiebung(term)
+        total = total + term
     return total
 
 
 def x_abelianize(x: XVector) -> GhostVector:
     """Componentwise abelianization, landing in ghost space."""
-    ctx = WittContext(x.alphabet, x.p, x.level + 1)
-    return GhostVector(ctx, tuple(abelianize(e) for e in x.entries))
+    return GhostVector(x.context, tuple(abelianize(e) for e in x.entries))
 
 
-def _teichmuller_product(
-    alphabet: Alphabet, p: int, factors: Sequence[FreePoly], level: int
-) -> XVector:
-    prod = x_teichmuller(alphabet, p, factors[0], level)
+def _teichmuller_product(ctx: WittContext, factors: Sequence[FreePoly]) -> XVector:
+    prod = x_teichmuller(ctx, factors[0])
     for a in factors[1:]:
-        prod = x_mul(prod, x_teichmuller(alphabet, p, a, level))
+        prod = prod * x_teichmuller(ctx, a)
     return prod
 
 
@@ -148,7 +82,8 @@ def commutator_generator(
     level: int,
     p: int = 2,
 ) -> XVector:
-    """A generator of the closed commutator subgroup:
+    """A generator of the closed commutator subgroup, with entries at
+    indices 0..level:
 
         p^m V^n_shift([<a_1>...<a_s>, <b_1^{p^{n_shift-m}}>...<b_t^{p^{n_shift-m}}>])
 
@@ -158,14 +93,14 @@ def commutator_generator(
         raise ValueError(f"need 0 <= m <= n_shift, got m={m}, n_shift={n_shift}")
     if not a_factors or not b_factors:
         raise ValueError("factor lists must be non-empty")
-    alphabet = a_factors[0].alphabet
+    ctx = WittContext(a_factors[0].alphabet, p, level + 1)
     q = p ** (n_shift - m)
-    left = _teichmuller_product(alphabet, p, a_factors, level)
-    right = _teichmuller_product(alphabet, p, [b**q for b in b_factors], level)
-    bracket = x_sub(x_mul(left, right), x_mul(right, left))
+    left = _teichmuller_product(ctx, a_factors)
+    right = _teichmuller_product(ctx, [b**q for b in b_factors])
+    bracket = left * right - right * left
     for _ in range(n_shift):
-        bracket = x_verschiebung(bracket)
-    return x_scale(bracket, p**m)
+        bracket = verschiebung(bracket)
+    return p**m * bracket
 
 
 def check_bracket_identity(
@@ -177,17 +112,16 @@ def check_bracket_identity(
     p: int = 2,
 ) -> bool:
     """Verify [V^n(<a_1>...<a_s>), V^m(<b_1>...<b_t>)] equals the
-    commutator generator above, entrywise."""
-    if m < 0 or n_shift < 0 or m > n_shift:
-        raise ValueError(f"need 0 <= m <= n_shift, got m={m}, n_shift={n_shift}")
-    alphabet = a_factors[0].alphabet
-    left = _teichmuller_product(alphabet, p, a_factors, level)
+    commutator generator above, entrywise.  Arguments are validated by
+    commutator_generator."""
+    ctx = WittContext(a_factors[0].alphabet, p, level + 1)
+    left = _teichmuller_product(ctx, a_factors)
     for _ in range(n_shift):
-        left = x_verschiebung(left)
-    right = _teichmuller_product(alphabet, p, b_factors, level)
+        left = verschiebung(left)
+    right = _teichmuller_product(ctx, b_factors)
     for _ in range(m):
-        right = x_verschiebung(right)
-    lhs = x_sub(x_mul(left, right), x_mul(right, left))
+        right = verschiebung(right)
+    lhs = left * right - right * left
     rhs = commutator_generator(m, n_shift, a_factors, b_factors, level, p)
     return lhs == rhs
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .freealg import Alphabet, AlphabetMismatch
@@ -16,7 +17,7 @@ from .ghost import ContextMismatch, CoordinateTuple, WittContext, check_prime, g
 from .cdwitt import h_membership, omega_map
 from .parser import ParseError, UnknownGenerator, parse_poly
 from .rmap import DegreeCapExceeded, EpsilonNotCommutator, r_map
-from .verify import CHECK_IDS, DEFAULT_SEED, run_checks
+from .verify import CHECK_IDS, DEFAULT_SEED, PrimeNotSupported, run_checks
 
 
 class UsageError(ValueError):
@@ -178,7 +179,7 @@ def run(argv=None) -> int:
 
         raise UsageError(f"unknown command {args.command!r}")
 
-    except (UsageError, ParseError, UnknownGenerator, KeyError) as exc:
+    except (UsageError, PrimeNotSupported, ParseError, UnknownGenerator, KeyError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (
@@ -194,7 +195,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # flush at interpreter exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -282,30 +282,11 @@ class FreePoly(SparseCombination):
             k >>= 1
         return result
 
-    # -- grading and filtration -----------------------------------------
-
     @property
     def degree(self):
         if not self._terms:
             return MINUS_INFINITY
         return max(len(w) for w in self._terms)
-
-    def graded_component(self, d: int) -> "FreePoly":
-        """The degree-d homogeneous part."""
-        if d < 0:
-            raise ValueError("degree must be non-negative")
-        return FreePoly._from_terms(
-            self.alphabet, {w: c for w, c in self._terms.items() if len(w) == d}
-        )
-
-    def filtration_split(self, n: int) -> tuple["FreePoly", "FreePoly"]:
-        """Split as (degree < n part, degree >= n part); the high part lies
-        in the n-th filtration step and low + high == self exactly."""
-        if n < 0:
-            raise ValueError("filtration level must be non-negative")
-        low = {w: c for w, c in self._terms.items() if len(w) < n}
-        high = {w: c for w, c in self._terms.items() if len(w) >= n}
-        return FreePoly._from_terms(self.alphabet, low), FreePoly._from_terms(self.alphabet, high)
 
     def _format_term(self, w: Word, mag: int) -> str:
         if not w:

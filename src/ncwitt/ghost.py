@@ -46,60 +46,95 @@ class ContextMismatch(ValueError):
     """Raised when combining vectors from different Witt contexts."""
 
 
-def _check_context(a, b) -> None:
-    if a.context != b.context:
-        raise ContextMismatch(f"context mismatch: {a.context} vs {b.context}")
-
-
 @dataclass(frozen=True)
-class CoordinateTuple:
-    """Coordinates (a_0,...,a_{n-1}) of a truncated Witt vector."""
+class WittTuple:
+    """n entries over a Witt context: the shape shared by coordinate
+    tuples, ghost vectors and componentwise lifts.  Every entry is over
+    the context's alphabet."""
 
     context: WittContext
-    coords: tuple[FreePoly, ...]
+    entries: tuple
+
+    #: the type of the entries; its zero pads a short tuple in `of`
+    entry_type = FreePoly
 
     def __post_init__(self):
-        if len(self.coords) != self.context.n:
+        if len(self.entries) != self.context.n:
             raise ValueError(
-                f"expected {self.context.n} coordinates, got {len(self.coords)}"
+                f"expected {self.context.n} entries, got {len(self.entries)}"
             )
-        for a in self.coords:
-            if a.alphabet != self.context.alphabet:
-                raise ContextMismatch("coordinate alphabet differs from context")
+        for e in self.entries:
+            if e.alphabet != self.context.alphabet:
+                raise ContextMismatch("entry alphabet differs from context")
 
     @classmethod
-    def of(cls, ctx: WittContext, coords: Sequence[FreePoly]) -> "CoordinateTuple":
-        coords = tuple(coords)
-        if len(coords) < ctx.n:
-            coords += (FreePoly.zero(ctx.alphabet),) * (ctx.n - len(coords))
-        return cls(ctx, coords)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(a) for a in self.coords) + ")"
-
-
-@dataclass(frozen=True)
-class GhostVector:
-    """The ghost image of a truncated Witt vector: n classes in A/[A,A]."""
-
-    context: WittContext
-    components: tuple[AbelPoly, ...]
-
-    def __post_init__(self):
-        if len(self.components) != self.context.n:
-            raise ValueError(
-                f"expected {self.context.n} components, got {len(self.components)}"
-            )
-
-    @classmethod
-    def zero(cls, ctx: WittContext) -> "GhostVector":
-        return cls(ctx, tuple(AbelPoly.zero(ctx.alphabet) for _ in range(ctx.n)))
+    def of(cls, ctx: WittContext, entries: Sequence = ()):
+        """The tuple of the given entries, padded with zeros to length n."""
+        entries = tuple(entries)
+        zero = cls.entry_type.zero(ctx.alphabet)
+        return cls(ctx, entries + (zero,) * (ctx.n - len(entries)))
 
     def is_zero(self) -> bool:
-        return all(g.is_zero() for g in self.components)
+        return all(e.is_zero() for e in self.entries)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(g) for g in self.components) + ")"
+        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+
+
+class CoordinateTuple(WittTuple):
+    """Coordinates (a_0,...,a_{n-1}) of a truncated Witt vector.  Witt
+    addition of coordinates is not entrywise, so there is no arithmetic
+    here: add through the ghost map."""
+
+
+class AdditiveWittTuple(WittTuple):
+    """A Witt tuple whose group law is entrywise: the ghost vectors and
+    the componentwise lifts."""
+
+    def _pairs(self, other):
+        if type(other) is not type(self):
+            raise TypeError(
+                f"cannot combine {type(self).__name__} with {type(other).__name__}"
+            )
+        if other.context != self.context:
+            raise ContextMismatch(f"context mismatch: {self.context} vs {other.context}")
+        return zip(self.entries, other.entries)
+
+    def __add__(self, other):
+        return type(self)(self.context, tuple(a + b for a, b in self._pairs(other)))
+
+    def __sub__(self, other):
+        return type(self)(self.context, tuple(a - b for a, b in self._pairs(other)))
+
+    def __mul__(self, c):
+        """Integer scaling."""
+        if not isinstance(c, int):
+            return NotImplemented
+        return type(self)(self.context, tuple(c * e for e in self.entries))
+
+    __rmul__ = __mul__
+
+
+class GhostVector(AdditiveWittTuple):
+    """The ghost image of a truncated Witt vector: n classes in A/[A,A].
+    For a free algebra, ghost equality is Witt-group equality."""
+
+    entry_type = AbelPoly
+
+
+def verschiebung(u: AdditiveWittTuple) -> AdditiveWittTuple:
+    """V(e_0,...,e_{n-1}) = (0, p e_0, ..., p e_{n-2}).
+
+    On ghost vectors this is the ghost transform of the coordinate shift
+    (a_0,...) -> (0, a_0, ...), since the i-th Witt polynomial of shifted
+    coordinates is p times the (i-1)-th of the originals; the
+    componentwise lift shifts the same way.
+    """
+    if not isinstance(u, AdditiveWittTuple):
+        raise TypeError(f"no Verschiebung on {type(u).__name__}")
+    ctx = u.context
+    shifted = (u.entry_type.zero(ctx.alphabet),) + tuple(ctx.p * e for e in u.entries[:-1])
+    return type(u)(ctx, shifted)
 
 
 def witt_polynomial(i: int, coords: CoordinateTuple) -> FreePoly:
@@ -110,7 +145,7 @@ def witt_polynomial(i: int, coords: CoordinateTuple) -> FreePoly:
         raise IndexError(f"witt polynomial index {i} out of range for n={ctx.n}")
     total = FreePoly.zero(ctx.alphabet)
     for j in range(i + 1):
-        total = total + (ctx.p**j) * (coords.coords[j] ** (ctx.p ** (i - j)))
+        total = total + (ctx.p**j) * (coords.entries[j] ** (ctx.p ** (i - j)))
     return total
 
 
@@ -122,39 +157,9 @@ def ghost_map(coords: CoordinateTuple) -> GhostVector:
     )
 
 
-def w_add(u: GhostVector, v: GhostVector) -> GhostVector:
-    """Witt addition, which on ghost vectors is componentwise."""
-    _check_context(u, v)
-    return GhostVector(
-        u.context, tuple(a + b for a, b in zip(u.components, v.components))
-    )
-
-
-def w_equal(u: GhostVector, v: GhostVector) -> bool:
-    """Ghost equality; for a free algebra this is Witt-group equality."""
-    _check_context(u, v)
-    return u.components == v.components
-
-
-def w_verschiebung(u: GhostVector) -> GhostVector:
-    """Verschiebung on ghosts: (g_0,...,g_{n-1}) -> (0, p g_0,..., p g_{n-2}).
-
-    This is the ghost transform of the coordinate shift (a_0,...) ->
-    (0, a_0, ...), since the i-th Witt polynomial of shifted coordinates
-    is p times the (i-1)-th of the originals.
-    """
-    ctx = u.context
-    shifted = (AbelPoly.zero(ctx.alphabet),) + tuple(
-        ctx.p * g for g in u.components[: ctx.n - 1]
-    )
-    return GhostVector(ctx, shifted)
-
-
 def w_teichmuller(ctx: WittContext, a: FreePoly) -> GhostVector:
     """Ghost of the Teichmuller lift (a, 0, ..., 0): component i is the
     class of a^{p^i}."""
-    if a.alphabet != ctx.alphabet:
-        raise ContextMismatch("alphabet differs from context")
     return GhostVector(
         ctx, tuple(abelianize(a ** (ctx.p**i)) for i in range(ctx.n))
     )
@@ -164,10 +169,10 @@ def check_wagen_decomposition(coords: CoordinateTuple) -> bool:
     """Verify that ghost(a_0,...,a_{n-1}) equals the sum of V^i applied to
     the Teichmuller ghost of a_i.  Holds for every input."""
     ctx = coords.context
-    total = GhostVector.zero(ctx)
-    for i, a in enumerate(coords.coords):
+    total = GhostVector.of(ctx)
+    for i, a in enumerate(coords.entries):
         term = w_teichmuller(ctx, a)
         for _ in range(i):
-            term = w_verschiebung(term)
-        total = w_add(total, term)
-    return w_equal(total, ghost_map(coords))
+            term = verschiebung(term)
+        total = total + term
+    return total == ghost_map(coords)

@@ -58,11 +58,7 @@ def r_map(
     division step fails (an internal-consistency violation), and
     DegreeCapExceeded past the configured degree cap.
     """
-    epsilons = list(epsilons)
-    if len(epsilons) < ctx.n:
-        epsilons += [FreePoly.zero(ctx.alphabet)] * (ctx.n - len(epsilons))
-    if len(epsilons) != ctx.n:
-        raise ValueError(f"expected at most {ctx.n} epsilons, got {len(epsilons)}")
+    epsilons = CoordinateTuple.of(ctx, epsilons).entries
     for i, eps in enumerate(epsilons):
         if not in_commutator_subgroup(eps):
             raise EpsilonNotCommutator(f"epsilon {i} is not in [A,A]: {eps}")

@@ -1,9 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ncwitt import Alphabet, abelianize, parse_poly
 from ncwitt.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -123,6 +129,13 @@ class TestVerifyCommand:
         assert code == 1
         assert "unknown check ids" in err
 
+    def test_checks_at_any_p_run_at_p3(self, capture):
+        # wagen and omegar0 also take --p 3, but their lengths up to 4 and 3
+        # raise powers too large to run in a test
+        code, out, _ = capture("verify", "bracket-identity", "lemma-phi", "pin", "--p", "3")
+        assert code == 0
+        assert "overall: pass" in out
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("p", ["1", "4", "6"])
@@ -155,6 +168,22 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize(
+        "checks, named",
+        [
+            (["counterexample"], ["counterexample"]),
+            (["lemma-xyc", "commutative-sanity"], ["lemma-xyc", "commutative-sanity"]),
+            (["--all"], ["lemma-thelemma", "lemma-xyc", "counterexample", "commutative-sanity"]),
+        ],
+    )
+    def test_p2_only_checks_reject_other_p(self, capture, checks, named):
+        code, out, err = capture("verify", *checks, "--p", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert all(check_id in err for check_id in named)
+        assert "wagen" not in err
+
     def test_argparse_error_returns_two(self, capture):
         # text starting with '-' reads as an unknown flag unless passed after --
         code, _, err = capture("abelianize", "-XY")
@@ -179,3 +208,21 @@ class TestJsonSchema:
         code, out, _ = capture("abelianize", "--alphabet", "A,B", "AB - BA")
         assert code == 0
         assert out == "0"
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_one_quietly(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "ncwitt.cli", "abelianize", "XY"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=str(SRC)),
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""

@@ -87,7 +87,8 @@ class TestAbelianize:
         for _ in range(10):
             c = commutator(sample_poly(rng, ab, 2), sample_poly(rng, ab, 2))
             for d in range(5):
-                assert abelianize(c.graded_component(d)).is_zero()
+                part = FreePoly(ab, {w: k for w, k in c.terms() if len(w) == d})
+                assert abelianize(part).is_zero()
 
 
 class TestSigma0:

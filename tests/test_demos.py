@@ -1,5 +1,7 @@
-"""Each demo script runs to completion against the library in src/."""
+"""Each demo script runs to completion against the library in src/, and
+its stdout is byte-identical to tests/golden/demo_<name>.txt."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -9,6 +11,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden_name(demo: Path) -> str:
+    return f"demo_{demo.stem}.txt"
+
+
+@functools.cache
+def run_demo(demo: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 def test_demos_exist():
@@ -17,8 +32,10 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_zero(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = run_demo(demo)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_stdout_matches_golden(demo):
+    assert run_demo(demo).stdout == (GOLDEN / golden_name(demo)).read_text()

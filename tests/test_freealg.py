@@ -114,60 +114,6 @@ class TestPhiMap:
             assert phi_map(f + g, 2) == phi_map(f, 2) + phi_map(g, 2)
 
 
-class TestGrading:
-    def test_select_degree(self, ab, X, Y):
-        f = X + X * Y + X**3
-        assert f.graded_component(2) == X * Y
-
-    def test_above_degree(self, X, Y):
-        f = X + Y
-        assert f.graded_component(5).is_zero()
-
-    def test_partition(self, ab, rng):
-        for _ in range(10):
-            f = sample_poly(rng, ab, 4, 6)
-            total = FreePoly.zero(ab)
-            for d in range(5):
-                total = total + f.graded_component(d)
-            assert total == f
-
-    def test_multiplicativity(self, ab, rng):
-        for _ in range(10):
-            f = sample_poly(rng, ab, 3)
-            g = sample_poly(rng, ab, 3)
-            for d in range(7):
-                conv = FreePoly.zero(ab)
-                for i in range(d + 1):
-                    conv = conv + f.graded_component(i) * g.graded_component(d - i)
-                assert (f * g).graded_component(d) == conv
-
-
-class TestFiltration:
-    def test_split(self, ab, X, Y):
-        f = X * Y + X**5
-        low, high = f.filtration_split(5)
-        assert low == X * Y
-        assert high == X**5
-
-    def test_split_at_zero(self, ab, X, Y):
-        f = X - 2 * Y
-        low, high = f.filtration_split(0)
-        assert low.is_zero()
-        assert high == f
-
-    def test_homogeneous_below(self, ab):
-        f = FreePoly.monomial(ab, (0, 1, 0, 1), 3)
-        low, high = f.filtration_split(5)
-        assert low == f
-        assert high.is_zero()
-
-    def test_recombination(self, ab, rng):
-        for _ in range(10):
-            f = sample_poly(rng, ab, 4, 5)
-            low, high = f.filtration_split(3)
-            assert low + high == f
-
-
 class TestReduceMod:
     def test_drops_even(self, ab, X, Y):
         f = 2 * FreePoly.monomial(ab, (0, 1, 0, 1)) + Y * X

@@ -11,10 +11,8 @@ from ncwitt import (
     check_wagen_decomposition,
     commutator,
     ghost_map,
-    w_add,
-    w_equal,
+    verschiebung,
     w_teichmuller,
-    w_verschiebung,
     witt_polynomial,
 )
 from ncwitt.verify import classical_witt_sum, sample_poly
@@ -67,9 +65,9 @@ class TestGhostMap:
     def test_commutator_coordinate(self, ab, ctx2, X, Y):
         # oracle: (XY-YX)^2 abelianizes to 2[XYXY] - 2[XXYY]
         g = ghost_map(CoordinateTuple.of(ctx2, [commutator(X, Y)]))
-        assert g.components[0].is_zero()
-        assert g.components[1] == abelianize(commutator(X, Y) ** 2)
-        assert g.components[1] == 2 * abelianize(
+        assert g.entries[0].is_zero()
+        assert g.entries[1] == abelianize(commutator(X, Y) ** 2)
+        assert g.entries[1] == 2 * abelianize(
             FreePoly.monomial(ab, (0, 1, 0, 1)) - FreePoly.monomial(ab, (0, 0, 1, 1))
         )
 
@@ -83,24 +81,24 @@ class TestGhostMap:
             g = ghost_map(CoordinateTuple.of(ctx, coords))
             for j in range(4):
                 if j < i:
-                    assert g.components[j].is_zero()
+                    assert g.entries[j].is_zero()
                 else:
-                    assert g.components[j] == (2**i) * abelianize(a ** (2 ** (j - i)))
+                    assert g.entries[j] == (2**i) * abelianize(a ** (2 ** (j - i)))
 
 
 class TestGroupStructure:
     def test_additive_identity(self, ctx2, X, Y):
         u = ghost_map(CoordinateTuple.of(ctx2, [X, Y]))
-        assert w_equal(w_add(u, GhostVector.zero(u.context)), u)
+        assert u + GhostVector.of(u.context) == u
 
     def test_teichmuller_sum(self, ab, ctx2, X, Y):
-        s = w_add(w_teichmuller(ctx2, X), w_teichmuller(ctx2, Y))
-        assert s.components[0] == abelianize(X + Y)
-        assert s.components[1] == abelianize(X**2 + Y**2)
+        s = w_teichmuller(ctx2, X) + w_teichmuller(ctx2, Y)
+        assert s.entries[0] == abelianize(X + Y)
+        assert s.entries[1] == abelianize(X**2 + Y**2)
 
     def test_context_mismatch(self, ab, ctx2, ctx3, X):
         with pytest.raises(ContextMismatch):
-            w_add(w_teichmuller(ctx2, X), w_teichmuller(ctx3, X))
+            w_teichmuller(ctx2, X) + w_teichmuller(ctx3, X)
 
     def test_v_additive(self, ab, ctx3, rng):
         for _ in range(10):
@@ -110,20 +108,18 @@ class TestGroupStructure:
             v = ghost_map(
                 CoordinateTuple.of(ctx3, [sample_poly(rng, ab, 2) for _ in range(3)])
             )
-            assert w_equal(
-                w_verschiebung(w_add(u, v)), w_add(w_verschiebung(u), w_verschiebung(v))
-            )
+            assert verschiebung(u + v) == verschiebung(u) + verschiebung(v)
 
 
 class TestVerschiebung:
     def test_zero(self, ctx3):
-        assert w_verschiebung(GhostVector.zero(ctx3)).is_zero()
+        assert verschiebung(GhostVector.of(ctx3)).is_zero()
 
     def test_teichmuller_shift(self, ab, ctx3, X):
-        v = w_verschiebung(w_teichmuller(ctx3, X))
-        assert v.components[0].is_zero()
-        assert v.components[1] == 2 * abelianize(X)
-        assert v.components[2] == 2 * abelianize(X**2)
+        v = verschiebung(w_teichmuller(ctx3, X))
+        assert v.entries[0].is_zero()
+        assert v.entries[1] == 2 * abelianize(X)
+        assert v.entries[2] == 2 * abelianize(X**2)
 
     def test_matches_coordinate_shift(self, ab, rng):
         for _ in range(10):
@@ -132,7 +128,7 @@ class TestVerschiebung:
             coords = [sample_poly(rng, ab, 2) for _ in range(n - 1)]
             shifted = CoordinateTuple.of(ctx, [FreePoly.zero(ab)] + coords)
             plain = ghost_map(CoordinateTuple.of(ctx, coords + [FreePoly.zero(ab)]))
-            assert w_equal(ghost_map(shifted), w_verschiebung(plain))
+            assert ghost_map(shifted) == verschiebung(plain)
 
     def test_witt_polynomial_shift_identity(self, ab, rng):
         # omega_i of shifted coordinates equals p * omega_{i-1}, in the free ring
@@ -152,27 +148,27 @@ class TestTeichmuller:
     def test_one(self, ab, ctx3):
         t = w_teichmuller(ctx3, FreePoly.one(ab))
         one = abelianize(FreePoly.one(ab))
-        assert all(c == one for c in t.components)
+        assert all(c == one for c in t.entries)
 
     def test_sum_of_generators(self, ab, ctx3, X, Y):
         t = w_teichmuller(ctx3, X + Y)
-        assert t.components[0] == abelianize(X + Y)
-        assert t.components[1] == abelianize((X + Y) ** 2)
-        assert t.components[2] == abelianize((X + Y) ** 4)
+        assert t.entries[0] == abelianize(X + Y)
+        assert t.entries[1] == abelianize((X + Y) ** 2)
+        assert t.entries[2] == abelianize((X + Y) ** 4)
 
 
 class TestEquality:
     def test_coordinate_vs_v(self, ab, ctx3, X):
         coords = CoordinateTuple.of(ctx3, [FreePoly.zero(ab), X])
-        assert w_equal(ghost_map(coords), w_verschiebung(w_teichmuller(ctx3, X)))
+        assert ghost_map(coords) == verschiebung(w_teichmuller(ctx3, X))
 
     def test_distinct_teichmullers(self, ctx2, X, Y):
-        assert not w_equal(w_teichmuller(ctx2, X), w_teichmuller(ctx2, Y))
+        assert w_teichmuller(ctx2, X) != w_teichmuller(ctx2, Y)
 
     def test_commutator_slack_in_slot1(self, ab, ctx2, X, Y):
         u = ghost_map(CoordinateTuple.of(ctx2, [X, Y]))
         v = ghost_map(CoordinateTuple.of(ctx2, [X, Y + commutator(X, Y)]))
-        assert w_equal(u, v)
+        assert u == v
 
 
 class TestWagenDecomposition:
@@ -198,11 +194,10 @@ class TestCommutativeSanity:
         for _ in range(20):
             x0, x1, y0, y1 = (sample_poly(rng, ab1, 2) for _ in range(4))
             s0, s1 = classical_witt_sum(x0, x1, y0, y1)
-            lhs = w_add(
-                ghost_map(CoordinateTuple.of(ctx, [x0, x1])),
-                ghost_map(CoordinateTuple.of(ctx, [y0, y1])),
+            lhs = ghost_map(CoordinateTuple.of(ctx, [x0, x1])) + ghost_map(
+                CoordinateTuple.of(ctx, [y0, y1])
             )
-            assert w_equal(lhs, ghost_map(CoordinateTuple.of(ctx, [s0, s1])))
+            assert lhs == ghost_map(CoordinateTuple.of(ctx, [s0, s1]))
 
     def test_one_generator_commutators_vanish(self, rng):
         ab1 = Alphabet(["T"])

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from ncwitt.cli import run
+from test_demos import DEMOS, golden_name
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -34,4 +35,5 @@ def test_stdout_matches_golden(name):
 
 
 def test_every_golden_file_is_checked():
-    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
+    checked = [*CASES, *(golden_name(demo) for demo in DEMOS)]
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(checked)

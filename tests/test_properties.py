@@ -1,11 +1,26 @@
 """Property tests for the sparse-combination arithmetic that FreePoly and
-AbelPoly share, and for the abelianization between them."""
+AbelPoly share, for the abelianization between them, and for the Witt-tuple
+core that coordinates, ghost vectors and componentwise lifts share."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ncwitt import AbelPoly, Alphabet, FreePoly, abelianize, least_rotation, parse_poly
+from ncwitt import (
+    AbelPoly,
+    Alphabet,
+    ContextMismatch,
+    CoordinateTuple,
+    FreePoly,
+    GhostVector,
+    WittContext,
+    XVector,
+    abelianize,
+    least_rotation,
+    parse_poly,
+    verschiebung,
+    x_abelianize,
+)
 
 AB = Alphabet(["X", "Y"])
 MULTI = Alphabet(["Ab", "Cd", "E"])
@@ -70,3 +85,66 @@ def test_abel_poly_rejects_letters_outside_alphabet(w, bad):
 @given(st.sampled_from([AB, MULTI]).flatmap(polys))
 def test_parse_inverts_str(f):
     assert parse_poly(str(f), f.alphabet) == f
+
+
+# -- the Witt-tuple core ------------------------------------------------------
+
+contexts = st.builds(WittContext, st.just(AB), st.sampled_from([2, 3]), st.integers(1, 3))
+
+
+def xvectors(ctx):
+    return st.lists(polys(), min_size=ctx.n, max_size=ctx.n).map(
+        lambda entries: XVector(ctx, tuple(entries))
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(contexts.flatmap(lambda ctx: st.tuples(xvectors(ctx), xvectors(ctx))), st.integers(-5, 5))
+def test_x_abelianize_is_a_group_map_commuting_with_verschiebung(pair, k):
+    # the square that lets ghosts and lifts share one group law and one V
+    x, y = pair
+    assert x_abelianize(x + y) == x_abelianize(x) + x_abelianize(y)
+    assert x_abelianize(x - y) == x_abelianize(x) - x_abelianize(y)
+    assert x_abelianize(k * x) == k * x_abelianize(x) == x_abelianize(x) * k
+    assert x_abelianize(verschiebung(x)) == verschiebung(x_abelianize(x))
+
+
+@settings(max_examples=20, deadline=None)
+@given(contexts)
+def test_mixing_tuple_types_raises_type_error(ctx):
+    with pytest.raises(TypeError):
+        CoordinateTuple.of(ctx) + CoordinateTuple.of(ctx)
+    with pytest.raises(TypeError):
+        GhostVector.of(ctx) + XVector.of(ctx)
+    with pytest.raises(TypeError):
+        XVector.of(ctx) - GhostVector.of(ctx)
+    with pytest.raises(TypeError):
+        verschiebung(CoordinateTuple.of(ctx))
+    with pytest.raises(TypeError):
+        XVector.of(ctx) + 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(contexts, contexts)
+def test_adding_across_contexts_raises_context_mismatch(c1, c2):
+    for cls in (GhostVector, XVector):
+        if c1 == c2:
+            assert (cls.of(c1) + cls.of(c2)).is_zero()
+        else:
+            with pytest.raises(ContextMismatch):
+                cls.of(c1) + cls.of(c2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(contexts, polys())
+def test_of_pads_with_the_entry_zero(ctx, f):
+    for cls, zero in (
+        (CoordinateTuple, FreePoly.zero(AB)),
+        (XVector, FreePoly.zero(AB)),
+        (GhostVector, AbelPoly.zero(AB)),
+    ):
+        padded = cls.of(ctx)
+        assert padded.is_zero()
+        assert all(type(e) is type(zero) and e == zero for e in padded.entries)
+    head = CoordinateTuple.of(ctx, [f])
+    assert head.entries == (f,) + (FreePoly.zero(AB),) * (ctx.n - 1)

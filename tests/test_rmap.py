@@ -29,7 +29,7 @@ def mutated_result(ab, X, Y):
     ctx = WittContext(ab, 2, 2)
     result = r_map([commutator(X, Y)], ctx)
     return RResult(
-        CoordinateTuple.of(ctx, [result.coords.coords[0], FreePoly.zero(ab)]),
+        CoordinateTuple.of(ctx, [result.coords.entries[0], FreePoly.zero(ab)]),
         result.audit,
     )
 
@@ -38,12 +38,12 @@ class TestRMap:
     def test_zero_input(self, ab):
         ctx = WittContext(ab, 2, 3)
         result = r_map([], ctx)
-        assert all(r.is_zero() for r in result.coords.coords)
+        assert all(r.is_zero() for r in result.coords.entries)
 
     def test_commutator_input(self, ab, X, Y):
         ctx = WittContext(ab, 2, 2)
         result = r_map([commutator(X, Y)], ctx)
-        r0, r1 = result.coords.coords
+        r0, r1 = result.coords.entries
         assert r0 == commutator(X, Y)
         assert r1 == -mono(ab, 0, 1, 0, 1) + mono(ab, 0, 0, 1, 1)
         # omega_1(r) = r0^2 + 2 r1
@@ -59,13 +59,13 @@ class TestRMap:
         ab1 = Alphabet(["T"])
         ctx = WittContext(ab1, 2, 3)
         result = r_map([FreePoly.zero(ab1)] * 3, ctx)
-        assert all(r.is_zero() for r in result.coords.coords)
+        assert all(r.is_zero() for r in result.coords.entries)
 
     def test_r0_is_first_epsilon(self, ab, rng):
         for _ in range(5):
             eps0 = sample_commutator(rng, ab)
             ctx = WittContext(ab, 2, 2)
-            assert r_map([eps0], ctx).coords.coords[0] == eps0
+            assert r_map([eps0], ctx).coords.entries[0] == eps0
 
     def test_rejects_non_commutator(self, ab, X):
         ctx = WittContext(ab, 2, 2)
@@ -93,8 +93,8 @@ class TestRMap:
     def test_level_compatibility(self, ab, X, Y):
         # the first components of the recursion do not depend on the level
         eps = [commutator(X, Y), commutator(X, Y * X)]
-        r2 = r_map(eps, WittContext(ab, 2, 2)).coords.coords
-        r3 = r_map(eps, WittContext(ab, 2, 3)).coords.coords
+        r2 = r_map(eps, WittContext(ab, 2, 2)).coords.entries
+        r3 = r_map(eps, WittContext(ab, 2, 3)).coords.entries
         assert r3[:2] == r2
 
 
