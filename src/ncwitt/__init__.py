@@ -5,6 +5,8 @@ from .freealg import (
     AlphabetMismatch,
     FreePoly,
     MINUS_INFINITY,
+    ResourceLimit,
+    TERM_BUDGET,
     commutator,
     phi_map,
 )
@@ -15,7 +17,10 @@ from .cycquot import (
     divide_exact,
     in_commutator_subgroup,
     least_rotation,
+    necklace_count,
+    phi_class,
     sigma0,
+    trace_power,
 )
 from .ghost import (
     ContextMismatch,

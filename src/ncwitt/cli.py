@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ghost, omega, rmap, abelianize, hmember, verify.
-Exit codes: 0 success, 1 check/computation failure, 2 usage error.
+Exit codes: 0 success, 1 check/computation failure (a computation refused
+by the resource guard included), 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from .ghost import ContextMismatch, CoordinateTuple, WittContext, check_prime, g
 from .cdwitt import h_membership, omega_map
 from .parser import ParseError, UnknownGenerator, parse_poly
 from .rmap import DegreeCapExceeded, EpsilonNotCommutator, r_map
-from .verify import CHECK_IDS, DEFAULT_SEED, PrimeNotSupported, run_checks
+from .verify import CHECK_IDS, DEFAULT_SEED, PrimeNotSupported, UnknownCheck, run_checks
 
 
 class UsageError(ValueError):
@@ -179,7 +180,14 @@ def run(argv=None) -> int:
 
         raise UsageError(f"unknown command {args.command!r}")
 
-    except (UsageError, PrimeNotSupported, ParseError, UnknownGenerator, KeyError) as exc:
+    except (
+        UsageError,
+        PrimeNotSupported,
+        UnknownCheck,
+        ParseError,
+        UnknownGenerator,
+        KeyError,
+    ) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except (

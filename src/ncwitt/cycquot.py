@@ -9,9 +9,20 @@ is decided by abelianizing.
 
 from __future__ import annotations
 
-from typing import Mapping
+from math import gcd
+from typing import Iterator, Mapping
 
-from .freealg import Alphabet, FreePoly, SparseCombination, Word, format_word
+from .freealg import (
+    COUNT_CAP,
+    Alphabet,
+    FreePoly,
+    SparseCombination,
+    Word,
+    capped_power,
+    check_budget,
+    format_word,
+    words_within_degree,
+)
 
 
 class NotDivisible(ArithmeticError):
@@ -24,8 +35,8 @@ def least_rotation(w: Word) -> Word:
     """The lexicographically least cyclic rotation of w.
 
     Direct enumeration of all n rotations, so O(n^2) letter comparisons
-    per word.  Words get long: at p = 2, level 5, abelianize feeds it the
-    65,536 words of (XY - YX)^16, each of 32 letters.
+    per word.  trace_power keeps the number of calls down: the trace of
+    (XY - YX)^16 at p = 2, level 5 takes 4,116 necklaces, not 65,536 words.
     """
     if len(w) <= 1:
         return w
@@ -68,6 +79,83 @@ def abelianize(f: FreePoly) -> AbelPoly:
             terms[cw] = s
         else:
             del terms[cw]
+    return AbelPoly._from_terms(f.alphabet, terms)
+
+
+def phi_class(alpha: AbelPoly, p: int) -> AbelPoly:
+    """The word-power map on classes, sending the class of w to the class
+    of w^p: phi_class(abelianize(f), p) == abelianize(phi_map(f, p)),
+    because least_rotation(w^p) == least_rotation(w)^p."""
+    if p < 2:
+        raise ValueError("p must be at least 2")
+    return AbelPoly._from_terms(alpha.alphabet, {w * p: c for w, c in alpha._terms.items()})
+
+
+def necklace_count(k: int, n: int) -> int:
+    """N(k, n) = (1/n) sum_{d | n} phi(d) k^{n/d}, the number of necklaces
+    of length n >= 1 over k letters; summed here as (1/n) sum_i k^gcd(i, n)."""
+    return sum(k ** gcd(i, n) for i in range(1, n + 1)) // n
+
+
+def _lyndon_words(k: int, n: int) -> Iterator[list[int]]:
+    """The Lyndon words over range(k) whose length divides n, in
+    lexicographic order, by Duval's (1988) generator.  The yielded list is
+    reused by the next step."""
+    w = [-1]
+    while w:
+        w[-1] += 1
+        m = len(w)
+        if n % m == 0:
+            yield w
+        # extend periodically to length n, then drop the trailing top letters
+        w.extend(w[i % m] for i in range(m, n))
+        while w and w[-1] == k - 1:
+            w.pop()
+
+
+def trace_power(f: FreePoly, n: int) -> AbelPoly:
+    """abelianize(f ** n), built from whichever is fewer: the words of
+    f ** n, or the necklaces of length n over the k terms of f.
+
+    The words are at most min(k^n, W), with W = words_within_degree(f, n);
+    the necklaces are N(k, n) = necklace_count(k, n).  A Lyndon word l of
+    length d | n over the term indices stands for the necklace l^(n/d):
+    its d rotations are d sequences of terms whose products are rotations
+    of one another, so they add d * (prod of coefficients)^(n/d) to the
+    class least_rotation(concatenation of l)^(n/d).  Raises ResourceLimit
+    when the chosen path's bound exceeds TERM_BUDGET.
+    """
+    if n == 1:
+        return abelianize(f)
+    k = len(f)
+    if n < 1 or k < 2:
+        # no more words than necklaces; ** rejects a negative n
+        return abelianize(f ** n)
+    words = capped_power(k, n)
+    # k^n saturates only for n >= 64, where N(k, n) is far past the
+    # budget as well and only needs to compare as large
+    necklaces = necklace_count(k, n) if words < COUNT_CAP else COUNT_CAP
+    if words > necklaces:
+        words = min(words, words_within_degree(f, n))
+    if words <= necklaces:
+        return abelianize(f ** n)
+    check_budget(necklaces, f"classes of the trace of a {k}-term polynomial to the power {n}")
+
+    term_words, coeffs = zip(*f._terms.items())
+    terms: dict[Word, int] = {}
+    for lyndon in _lyndon_words(k, n):
+        d = len(lyndon)
+        word: Word = ()
+        c = 1
+        for t in lyndon:
+            word += term_words[t]
+            c *= coeffs[t]
+        key = least_rotation(word) * (n // d)
+        s = terms.get(key, 0) + d * c ** (n // d)
+        if s:
+            terms[key] = s
+        else:
+            del terms[key]
     return AbelPoly._from_terms(f.alphabet, terms)
 
 

@@ -17,6 +17,33 @@ EMPTY_WORD: Word = ()
 #: Degree of the zero polynomial.  A distinguished sentinel, never -1.
 MINUS_INFINITY = float("-inf")
 
+#: The most terms of a power, or classes of a trace power, that one
+#: computation may produce.  Larger work is refused before it starts.
+TERM_BUDGET = 2**20
+
+#: Size bounds are computed exactly below this value and saturate at it,
+#: so that a huge exponent costs nothing to refuse.
+COUNT_CAP = 2**64
+
+
+class ResourceLimit(ValueError):
+    """Work refused before it started, because an exact bound on its
+    output size exceeds TERM_BUDGET."""
+
+
+def capped_power(base: int, exp: int) -> int:
+    """min(base ** exp, COUNT_CAP), without building a huge integer."""
+    if base > 1 and exp * (base.bit_length() - 1) >= COUNT_CAP.bit_length() - 1:
+        return COUNT_CAP
+    return min(base**exp, COUNT_CAP)
+
+
+def check_budget(bound: int, what: str) -> None:
+    """Raise ResourceLimit, naming the bound, if it exceeds TERM_BUDGET."""
+    if bound > TERM_BUDGET:
+        size = f"up to {bound:,}" if bound < COUNT_CAP else f"at least {COUNT_CAP:,}"
+        raise ResourceLimit(f"{what}: {size}, above the budget of {TERM_BUDGET:,}")
+
 
 class AlphabetMismatch(ValueError):
     """Raised when combining polynomials over different alphabets."""
@@ -271,8 +298,20 @@ class FreePoly(SparseCombination):
         return FreePoly._from_terms(self.alphabet, terms)
 
     def __pow__(self, k: int) -> "FreePoly":
+        """Repeated squaring.  Raises ResourceLimit when the power may have
+        more than TERM_BUDGET terms, by the smaller of (number of terms)^k
+        and words_within_degree(self, k)."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
+        # one term has one word in every power; the parser raises single
+        # generators to the run lengths of every term it reads
+        if len(self) > 1:
+            bound = capped_power(len(self), k)
+            if bound > TERM_BUDGET:
+                check_budget(
+                    min(bound, words_within_degree(self, k)),
+                    f"terms of a {len(self)}-term polynomial to the power {k}",
+                )
         result = FreePoly.one(self.alphabet)
         base = self
         while k:
@@ -294,6 +333,17 @@ class FreePoly(SparseCombination):
         if mag == 1:
             return format_word(w, self.alphabet)
         return f"{mag}{'' if self.alphabet.single_char else '*'}{format_word(w, self.alphabet)}"
+
+
+def words_within_degree(f: FreePoly, n: int) -> int:
+    """The number W of words of degree at most n * deg f over the letters
+    that occur in f (capped at COUNT_CAP): a bound on the terms of f ** n."""
+    m = len({x for w in f._terms for x in w})
+    top = n * max(f.degree, 0)
+    if m <= 1:
+        return min(top + 1 if m else 1, COUNT_CAP)
+    size = capped_power(m, top + 1)
+    return size if size == COUNT_CAP else (size - 1) // (m - 1)
 
 
 def commutator(f: FreePoly, g: FreePoly) -> FreePoly:

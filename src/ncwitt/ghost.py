@@ -17,7 +17,7 @@ from math import isqrt
 from typing import Sequence
 
 from .freealg import Alphabet, FreePoly
-from .cycquot import AbelPoly, abelianize
+from .cycquot import AbelPoly, abelianize, trace_power
 
 
 def check_prime(p: int) -> None:
@@ -149,11 +149,21 @@ def witt_polynomial(i: int, coords: CoordinateTuple) -> FreePoly:
     return total
 
 
+def witt_class(i: int, entries: Sequence[FreePoly], p: int) -> AbelPoly:
+    """The class in A/[A,A] of the i-th Witt polynomial of (a_0, a_1, ...),
+    sum_j p^j tr(a_j^{p^{i-j}}), with the entries not given taken as zero
+    and each trace taken by trace_power.  entries must not be empty."""
+    total = AbelPoly.zero(entries[0].alphabet)
+    for j, a in enumerate(entries[: i + 1]):
+        total = total + (p**j) * trace_power(a, p ** (i - j))
+    return total
+
+
 def ghost_map(coords: CoordinateTuple) -> GhostVector:
     """Component i is the abelianized i-th Witt polynomial."""
     ctx = coords.context
     return GhostVector(
-        ctx, tuple(abelianize(witt_polynomial(i, coords)) for i in range(ctx.n))
+        ctx, tuple(witt_class(i, coords.entries, ctx.p) for i in range(ctx.n))
     )
 
 

@@ -328,6 +328,10 @@ CHECK_IDS = tuple(_CHECKS)
 DEFAULT_SEED = 20230817
 
 
+class UnknownCheck(ValueError):
+    """A selected check id is not in the check table."""
+
+
 class PrimeNotSupported(ValueError):
     """Some selected checks exist only at p = 2, and another p was asked for."""
 
@@ -341,13 +345,14 @@ def run_checks(
 ) -> VerifyReport:
     """Run the named checks and aggregate a report.  Results follow the
     order of the check table, independent of the order of the selection.
-    Raises PrimeNotSupported, before running anything, if p != 2 and the
-    selection holds a check that exists only at p = 2."""
+    Raises UnknownCheck on an id outside the table, and PrimeNotSupported
+    if p != 2 and the selection holds a check that exists only at p = 2,
+    both before running anything."""
     if alphabet is None:
         alphabet = Alphabet(["X", "Y"])
     unknown = [s for s in selection if s not in CHECK_IDS]
     if unknown:
-        raise ValueError(f"unknown check ids: {unknown}; valid ids: {list(CHECK_IDS)}")
+        raise UnknownCheck(f"unknown check ids: {unknown}; valid ids: {list(CHECK_IDS)}")
     p2_only = [c for c, (_, _, only_p2) in _CHECKS.items() if only_p2 and c in selection]
     if p != 2 and p2_only:
         raise PrimeNotSupported(f"checks {p2_only} exist only at p = 2, not at p = {p}")

@@ -126,15 +126,52 @@ class TestVerifyCommand:
 
     def test_unknown_check_id(self, capture):
         code, _, err = capture("verify", "no-such-check")
-        assert code == 1
+        assert code == 2
+        assert err.startswith("usage error:")
         assert "unknown check ids" in err
 
     def test_checks_at_any_p_run_at_p3(self, capture):
-        # wagen and omegar0 also take --p 3, but their lengths up to 4 and 3
-        # raise powers too large to run in a test
-        code, out, _ = capture("verify", "bracket-identity", "lemma-phi", "pin", "--p", "3")
+        code, out, _ = capture(
+            "verify", "bracket-identity", "lemma-phi", "omegar0", "pin", "--p", "3"
+        )
         assert code == 0
         assert "overall: pass" in out
+
+    def test_wagen_at_p3_is_refused(self, capture):
+        # lengths up to 4 raise a two-term polynomial to the power 27
+        code, out, err = capture("verify", "wagen", "--p", "3")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "134,217,728" in err
+
+
+class TestResourceGuard:
+    """Work past the term budget is refused before it starts, naming its
+    bound: the number of necklace classes of the first trace power over
+    budget."""
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["rmap", "--level", "6", "XY-YX"], "134,219,796"),
+            (["rmap", "--p", "3", "--level", "4", "XY-YX"], "4,971,068"),
+            (["rmap", "--p", "5", "--level", "3", "XY-YX"], "1,342,184"),
+            (["abelianize", "(X+Y)^40"], "1,099,511,627,776"),
+        ],
+    )
+    def test_refused_with_bound(self, capture, argv, bound):
+        code, out, err = capture(*argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert bound in err
+        assert "budget" in err
+
+    def test_huge_exponent_is_refused_at_once(self, capture):
+        code, _, err = capture("abelianize", "(X+Y)^1000000000000")
+        assert code == 1
+        assert "at least 18,446,744,073,709,551,616" in err
 
 
 class TestUsageErrors:

@@ -12,8 +12,12 @@ from ncwitt import (
     divide_exact,
     in_commutator_subgroup,
     least_rotation,
+    necklace_count,
+    parse_poly,
     sigma0,
+    trace_power,
 )
+from ncwitt.freealg import words_within_degree
 from ncwitt.verify import sample_poly
 
 
@@ -45,7 +49,7 @@ class TestCircularClass:
             assert least_rotation(w) == brute_least_rotation(w)
 
 
-def necklace_count(k, d):
+def necklace_formula(k, d):
     # (1/d) * sum over e | d of phi(e) * k^(d/e)
     def phi(e):
         return sum(1 for j in range(1, e + 1) if gcd(j, e) == 1)
@@ -58,8 +62,50 @@ class TestNecklaceCount:
     @pytest.mark.parametrize("d", range(1, 9))
     def test_classes_match_necklace_formula(self, k, d):
         classes = {least_rotation(w) for w in product(range(k), repeat=d)}
-        assert len(classes) == necklace_count(k, d)
+        assert len(classes) == necklace_formula(k, d) == necklace_count(k, d)
         assert all(least_rotation(c) == c for c in classes)
+
+    def test_level_bounds(self):
+        # the trace powers that p = 2 level 5 takes and level 6 is refused
+        assert necklace_count(2, 16) == 4116
+        assert necklace_count(2, 32) == 134_219_796
+
+
+class TestTracePower:
+    def test_necklace_path_matches_expanded_power(self, ab, rng):
+        # k >= 3 terms of mixed length, where the necklaces are fewer than
+        # the words, so the necklace enumeration is what runs
+        checked = 0
+        for _ in range(12):
+            f = FreePoly.zero(ab)
+            while len(f) < 3:
+                f = sample_poly(rng, ab, max_degree=3, max_terms=5)
+            for n in range(2, 9):
+                k = len(f)
+                if k**n > 20_000:
+                    break
+                assert necklace_count(k, n) < min(k**n, words_within_degree(f, n))
+                assert trace_power(f, n) == abelianize(f**n)
+                checked += 1
+        assert checked >= 30
+
+    def test_mixed_lengths(self, ab):
+        f = parse_poly("X^2Y - 3Y + 2XYXY - YX^2", ab)
+        for n in range(9):
+            assert trace_power(f, n) == abelianize(f**n)
+
+    def test_commutator_sixteenth_power(self, X, Y):
+        # level 5's largest trace: 4,115 classes from 4,116 necklaces; the
+        # expanded oracle runs in tests/test_rmap.py's level-5 ghost test
+        assert len(trace_power(commutator(X, Y), 16)) == 4115
+
+    def test_small_exponents(self, ab, X, Y):
+        f = X + 2 * Y
+        assert trace_power(f, 0) == AbelPoly(ab, {(): 1})
+        assert trace_power(f, 1) == abelianize(f)
+        assert trace_power(FreePoly.zero(ab), 3).is_zero()
+        with pytest.raises(ValueError):
+            trace_power(f, -1)
 
 
 class TestAbelianize:

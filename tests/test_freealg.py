@@ -5,9 +5,12 @@ from ncwitt import (
     AlphabetMismatch,
     FreePoly,
     MINUS_INFINITY,
+    ResourceLimit,
+    TERM_BUDGET,
     commutator,
     phi_map,
 )
+from ncwitt.freealg import words_within_degree
 from ncwitt.verify import sample_poly
 
 
@@ -83,6 +86,26 @@ class TestPower:
     def test_negative_exponent_rejected(self, X):
         with pytest.raises(ValueError):
             X ** (-1)
+
+
+class TestPowerGuard:
+    def test_refused_past_budget(self, X, Y):
+        assert TERM_BUDGET == 2**20
+        with pytest.raises(ResourceLimit, match="2,097,152"):
+            (X + Y) ** 21
+
+    def test_one_letter_power_is_bounded_by_its_degree(self):
+        ab = Alphabet(["T"])
+        one_plus_t = FreePoly.one(ab) + FreePoly.generator(ab, "T")
+        # 2^64 sequences of terms, but only the 65 words 1, T, ..., T^64
+        assert words_within_degree(one_plus_t, 64) == 65
+        assert len(one_plus_t**64) == 65
+
+    def test_words_within_degree(self, ab, X, Y):
+        # words of degree <= 6 over X, Y: 2^7 - 1
+        assert words_within_degree(X * Y + 3 * Y, 3) == 127
+        assert words_within_degree(3 * X**2, 5) == 11
+        assert words_within_degree(FreePoly.constant(ab, 5), 9) == 1
 
 
 class TestCommutator:

@@ -13,11 +13,15 @@ from test_demos import DEMOS, golden_name
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Small levels only: p = 3 at level >= 4 and p = 2 at level >= 6 exhaust memory.
+# p = 2 at level >= 6 and p = 3 at level >= 4 are refused by the resource
+# guard (tests/test_cli.py::TestResourceGuard).  ghost_T_l6.txt takes the
+# power (1+T)^32, whose 33 words are far fewer than its N(2, 32) necklaces.
 CASES = {
     "verify_all.json": ["verify", "--all", "--format", "json"],
     "verify_counterexample_l4.json": ["verify", "counterexample", "--level", "4", "--format", "json"],
     "rmap_l4.txt": ["rmap", "--level", "4", "XY-YX"],
+    "rmap_l5.txt": ["rmap", "--level", "5", "XY-YX"],
+    "ghost_T_l6.txt": ["ghost", "--alphabet", "T", "--level", "6", "1+T"],
     "omega_l3.txt": ["omega", "--level", "3", "XY-YX", "X^2+Y", "3XYY"],
     "ghost_p3_l3.txt": ["ghost", "--p", "3", "--level", "3", "XY-YX", "X+2Y"],
     "abelianize.txt": ["abelianize", "XYYX + 3YXXY - XYXY"],

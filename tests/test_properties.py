@@ -1,5 +1,6 @@
 """Property tests for the sparse-combination arithmetic that FreePoly and
-AbelPoly share, for the abelianization between them, and for the Witt-tuple
+AbelPoly share, for the abelianization between them and its fast paths
+(trace powers and the word-power map on classes), and for the Witt-tuple
 core that coordinates, ghost vectors and componentwise lifts share."""
 
 import pytest
@@ -18,12 +19,16 @@ from ncwitt import (
     abelianize,
     least_rotation,
     parse_poly,
+    phi_class,
+    phi_map,
+    trace_power,
     verschiebung,
     x_abelianize,
 )
 
 AB = Alphabet(["X", "Y"])
 MULTI = Alphabet(["Ab", "Cd", "E"])
+ONE = Alphabet(["T"])
 
 words = st.lists(st.integers(0, 1), max_size=6).map(tuple)
 
@@ -61,6 +66,30 @@ def test_abelianize_commutes_with_reduce_mod(f, m):
 @given(polys(), polys())
 def test_abelianize_is_trace_like(f, g):
     assert abelianize(f * g) == abelianize(g * f)
+
+
+# Signed terms of mixed length, the empty word (a constant term) and the
+# zero polynomial included.  Powers up to 6 of four terms stay small enough
+# to expand as the oracle.
+small_polys = st.sampled_from([AB, ONE]).flatmap(
+    lambda alphabet: st.dictionaries(
+        st.lists(st.integers(0, len(alphabet) - 1), max_size=3).map(tuple),
+        st.integers(-4, 4),
+        max_size=4,
+    ).map(lambda terms: FreePoly(alphabet, terms))
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_polys, st.integers(0, 6))
+def test_trace_power_equals_expanded_power(f, n):
+    assert trace_power(f, n) == abelianize(f**n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([AB, MULTI]).flatmap(polys), st.integers(2, 5))
+def test_phi_class_is_phi_map_on_classes(f, p):
+    assert phi_class(abelianize(f), p) == abelianize(phi_map(f, p))
 
 
 @settings(max_examples=60, deadline=None)

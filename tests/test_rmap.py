@@ -13,8 +13,11 @@ from ncwitt import (
     commutator,
     counterexample_report,
     ghost_map,
+    omega_map,
     phi_map,
     r_map,
+    witt_polynomial,
+    x_abelianize,
 )
 from ncwitt.rmap import DegreeCapExceeded
 from ncwitt.verify import sample_commutator, sample_poly
@@ -89,6 +92,25 @@ class TestRMap:
         ctx = WittContext(ab, 2, 4)
         with pytest.raises(DegreeCapExceeded):
             r_map([commutator(X, Y)], ctx, degree_cap=8)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_pre_division_matches_expanded_recursion(self, ab, rng, p):
+        # the oracle: abelianize w_i and phi(w_{i-1}) of the expanded
+        # Witt polynomials of (r_0, ..., r_{i-1}, 0)
+        for _ in range(4):
+            n = 3 if p == 2 else 2
+            ctx = WittContext(ab, p, n)
+            eps = [sample_commutator(rng, ab) for _ in range(n)]
+            result = r_map(eps, ctx, degree_cap=128)
+            for step in result.audit:
+                i = step.index
+                partial = CoordinateTuple.of(
+                    WittContext(ab, p, i + 1), result.coords.entries[:i]
+                )
+                expected = abelianize(witt_polynomial(i, partial)) - abelianize(
+                    phi_map(witt_polynomial(i - 1, partial), p)
+                )
+                assert step.pre_division == expected
 
     def test_level_compatibility(self, ab, X, Y):
         # the first components of the recursion do not depend on the level
@@ -171,6 +193,14 @@ class TestCounterexampleReport:
         step = next(s for s in report.steps if s.name == "ghost_vanishes")
         result = r_map([commutator(X, Y)], WittContext(ab, 2, n))
         assert step.output == str(ghost_map(result.coords))
+        assert step.output == str(x_abelianize(omega_map(result.coords)))
+
+    def test_level_five_expanded_ghost_vanishes(self, ab, X, Y):
+        # the expanded oracle for level 5's trace powers, (XY - YX)^16 included
+        result = r_map([commutator(X, Y)], WittContext(ab, 2, 5))
+        expanded = x_abelianize(omega_map(result.coords))
+        assert expanded.is_zero()
+        assert expanded == ghost_map(result.coords)
 
     def test_mutated_recursion_fails_report(self, monkeypatch, ab, X, Y):
         mutated = mutated_result(ab, X, Y)
