@@ -4,6 +4,7 @@ from .freealg import (
     Alphabet,
     AlphabetMismatch,
     FreePoly,
+    LETTER_BUDGET,
     MINUS_INFINITY,
     ResourceLimit,
     TERM_BUDGET,

@@ -20,6 +20,7 @@ from .freealg import (
     Word,
     capped_power,
     check_budget,
+    check_letters,
     format_word,
     words_within_degree,
 )
@@ -123,7 +124,8 @@ def trace_power(f: FreePoly, n: int) -> AbelPoly:
     its d rotations are d sequences of terms whose products are rotations
     of one another, so they add d * (prod of coefficients)^(n/d) to the
     class least_rotation(concatenation of l)^(n/d).  Raises ResourceLimit
-    when the chosen path's bound exceeds TERM_BUDGET.
+    when the chosen path's bound exceeds TERM_BUDGET, or its words
+    LETTER_BUDGET.
     """
     if n == 1:
         return abelianize(f)
@@ -140,6 +142,7 @@ def trace_power(f: FreePoly, n: int) -> AbelPoly:
     if words <= necklaces:
         return abelianize(f ** n)
     check_budget(necklaces, f"classes of the trace of a {k}-term polynomial to the power {n}")
+    check_letters(n, f.degree)
 
     term_words, coeffs = zip(*f._terms.items())
     terms: dict[Word, int] = {}

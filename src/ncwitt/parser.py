@@ -1,4 +1,4 @@
-"""Recursive-descent parser for free-algebra polynomial expressions.
+"""Parser for free-algebra polynomial expressions.
 
 Grammar (standard precedence, left-associative products):
 
@@ -11,13 +11,17 @@ Juxtaposition multiplication (e.g. XYXY, 2XXYY) is allowed only when every
 generator name is a single character; multi-character alphabets require
 explicit '*'.  str(FreePoly) is the inverse: parsing a formatted
 polynomial returns it exactly.
+
+A term is built as a coefficient and a word; only a parenthesised factor
+is evaluated with FreePoly products and powers.  Exponents are bounded by
+freealg.check_letters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
-from .freealg import Alphabet, FreePoly
+from .freealg import Alphabet, FreePoly, check_letters
 
 
 class ParseError(ValueError):
@@ -37,134 +41,130 @@ class UnknownGenerator(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'int', 'gen', 'op', 'end'
-    text: str
-    position: int
+# A decimal integer, a name (\w is str.isalnum() or '_') or one other
+# character; whitespace matches none of them and is skipped.
+_TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")
 
 
-def _tokenize(text: str, alphabet: Alphabet) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], i))
-            i = j
-            continue
-        if c in "+-*^()":
-            tokens.append(_Token("op", c, i))
-            i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            run = text[i:j]
-            if run in alphabet._index:
-                tokens.append(_Token("gen", run, i))
-            elif alphabet.single_char:
-                # split a run like XYXY into single-letter generators
-                for k, ch in enumerate(run):
-                    if ch not in alphabet._index:
-                        raise UnknownGenerator(ch, i + k)
-                    tokens.append(_Token("gen", ch, i + k))
-            else:
-                raise UnknownGenerator(run, i)
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
-    tokens.append(_Token("end", "", n))
+def _tokenize(text: str, alphabet: Alphabet) -> list[tuple[str, str, int]]:
+    """(kind, text, position) tuples: kind is 'int', 'gen', 'end' or the
+    operator character itself.  Over single-character names, a 'gen'
+    token is a whole run of generators, such as XYXY."""
+    index = alphabet._index
+    letters = "".join(alphabet.names) if alphabet.single_char else None
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        number, name, other = m.groups()
+        i = m.start()
+        if number:
+            tokens.append(("int", number, i))
+        elif other:
+            if other not in "+-*^()":
+                raise ParseError(f"unexpected character {other!r}", i)
+            tokens.append((other, other, i))
+        elif not (name[0].isalpha() or name[0] == "_"):
+            raise ParseError(f"unexpected character {name[0]!r}", i)
+        elif letters is not None:
+            rest = name.lstrip(letters)
+            if rest:
+                raise UnknownGenerator(rest[0], i + len(name) - len(rest))
+            tokens.append(("gen", name, i))
+        elif name in index:
+            tokens.append(("gen", name, i))
+        else:
+            raise UnknownGenerator(name, i)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[_Token], alphabet: Alphabet):
-        self.tokens = tokens
-        self.pos = 0
-        self.alphabet = alphabet
+def _term_start(tokens, i: int, sign: int) -> tuple[int, int]:
+    """The index after an optional unary '-' at tokens[i], and the sign."""
+    return (i + 1, -sign) if tokens[i][0] == "-" else (i, sign)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _exponent(tokens, i: int) -> tuple[int, int]:
+    """The exponent of the factor that ends before tokens[i] (1 if it has
+    none), and the index after it."""
+    if tokens[i][0] != "^":
+        return 1, i
+    kind, text, position = tokens[i + 1]
+    if kind != "int":
+        raise ParseError("exponent must be a non-negative integer", position)
+    return int(text), i + 2
 
-    def expect(self, text: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text!r}", tok.position)
-        return self.advance()
 
-    def parse_expr(self) -> FreePoly:
-        result = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.parse_term()
-            result = result + rhs if op == "+" else result - rhs
-        return result
+def _times_word(prefix: FreePoly | None, word: list[int], alphabet: Alphabet) -> FreePoly:
+    """prefix * word, where prefix None stands for 1."""
+    monomial = FreePoly._from_terms(alphabet, {tuple(word): 1})
+    return monomial if prefix is None else prefix * monomial
 
-    def parse_term(self) -> FreePoly:
-        negate = False
-        if self.peek().kind == "op" and self.peek().text == "-":
-            self.advance()
-            negate = True
-        result = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "op" and tok.text == "*":
-                self.advance()
-                result = result * self.parse_factor()
-            elif self.alphabet.single_char and (
-                tok.kind in ("int", "gen") or (tok.kind == "op" and tok.text == "(")
-            ):
-                result = result * self.parse_factor()
-            else:
-                break
-        return -result if negate else result
 
-    def parse_factor(self) -> FreePoly:
-        base = self.parse_atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
-            tok = self.peek()
-            if tok.kind != "int":
-                raise ParseError("exponent must be a non-negative integer", tok.position)
-            self.advance()
-            base = base ** int(tok.text)
-        return base
-
-    def parse_atom(self) -> FreePoly:
-        tok = self.peek()
-        if tok.kind == "int":
-            self.advance()
-            return FreePoly.constant(self.alphabet, int(tok.text))
-        if tok.kind == "gen":
-            self.advance()
-            return FreePoly.generator(self.alphabet, tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            inner = self.parse_expr()
-            self.expect(")")
-            return inner
-        raise ParseError(f"expected a value, found {tok.text!r}", tok.position)
+def _add_term(terms: dict, coeff: int, term: FreePoly) -> None:
+    for w, c in term._terms.items():
+        s = terms.get(w, 0) + coeff * c
+        if s:
+            terms[w] = s
+        else:
+            terms.pop(w, None)
 
 
 def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
     """Parse an expression into an exact free polynomial."""
-    parser = _Parser(_tokenize(text, alphabet), alphabet)
-    result = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"trailing input {tok.text!r}", tok.position)
-    return result
+    tokens = _tokenize(text, alphabet)
+    index = alphabet._index
+    juxtaposed = ("int", "gen", "(") if alphabet.single_char else ()
+    # The current term is coeff * prefix * word, where prefix is the
+    # product up to its last parenthesised factor (None before one).
+    # groups holds (terms, coeff, word, prefix) of each enclosing '('.
+    groups = []
+    terms: dict = {}
+    i, coeff = _term_start(tokens, 0, 1)
+    word: list[int] = []
+    prefix = None
+    while True:
+        kind, tok, position = tokens[i]
+        i += 1
+        if kind == "(":
+            groups.append((terms, coeff, word, prefix))
+            terms, word, prefix = {}, [], None
+            i, coeff = _term_start(tokens, i, 1)
+            continue
+        if kind == "gen":
+            letters = (index[tok],) if tok in index else tuple(map(index.__getitem__, tok))
+            n, i = _exponent(tokens, i)
+            if n != 1:
+                # the exponent binds to the last letter of a run
+                check_letters(n, 1)
+                letters = letters[:-1] + letters[-1:] * n
+            word += letters
+        elif kind == "int":
+            n, i = _exponent(tokens, i)
+            check_letters(n, 0)
+            coeff *= int(tok) ** n
+        else:
+            raise ParseError(f"expected a value, found {tok!r}", position)
+
+        while True:  # after a factor
+            kind, tok, position = tokens[i]
+            if kind == "*":
+                i += 1
+                break
+            if kind in juxtaposed:
+                break
+            _add_term(terms, coeff, _times_word(prefix, word, alphabet))
+            if kind == "+" or kind == "-":
+                i, coeff = _term_start(tokens, i + 1, -1 if kind == "-" else 1)
+                word, prefix = [], None
+                break
+            if kind == ")" and groups:
+                inner = FreePoly._from_terms(alphabet, terms)
+                terms, coeff, word, prefix = groups.pop()
+                n, i = _exponent(tokens, i + 1)
+                prefix = _times_word(prefix, word, alphabet) * (inner if n == 1 else inner**n)
+                word = []
+                continue
+            if groups:
+                raise ParseError(f"expected ')', found {tok!r}", position)
+            if kind != "end":
+                raise ParseError(f"trailing input {tok!r}", position)
+            return FreePoly._from_terms(alphabet, terms)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,24 @@ class TestResourceGuard:
         assert err.startswith("error:")
         assert bound in err
         assert "budget" in err
+
+    @pytest.mark.parametrize(
+        "argv, bound",
+        [
+            (["ghost", "--level", "40", "X"], "8,192"),
+            (["abelianize", "--", "X^99999999999"], "99,999,999,999"),
+        ],
+    )
+    def test_long_words_refused_within_a_second(self, capture, argv, bound):
+        # one-term powers pass the term budget; their length is bounded
+        start = time.process_time()
+        code, out, err = capture(*argv)
+        assert time.process_time() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert bound in err
+        assert "letter budget" in err
 
     def test_huge_exponent_is_refused_at_once(self, capture):
         code, _, err = capture("abelianize", "(X+Y)^1000000000000")

@@ -6,6 +6,8 @@ import pytest
 from ncwitt import (
     AbelPoly,
     FreePoly,
+    ResourceLimit,
+    TERM_BUDGET,
     NotDivisible,
     abelianize,
     commutator,
@@ -72,6 +74,14 @@ class TestNecklaceCount:
 
 
 class TestTracePower:
+    def test_necklace_path_refuses_long_words(self, X, Y):
+        # 99,858 necklaces are within the term budget and fewer than the
+        # 2^21 sequences of terms, so the necklace path is chosen; its
+        # words would have 21 * 200 letters
+        assert necklace_count(2, 21) <= TERM_BUDGET < 2**21
+        with pytest.raises(ResourceLimit, match="4,200.*letter budget"):
+            trace_power(X**200 + Y, 21)
+
     def test_necklace_path_matches_expanded_power(self, ab, rng):
         # k >= 3 terms of mixed length, where the necklaces are fewer than
         # the words, so the necklace enumeration is what runs

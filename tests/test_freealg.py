@@ -4,6 +4,7 @@ from ncwitt import (
     Alphabet,
     AlphabetMismatch,
     FreePoly,
+    LETTER_BUDGET,
     MINUS_INFINITY,
     ResourceLimit,
     TERM_BUDGET,
@@ -100,6 +101,20 @@ class TestPowerGuard:
         # 2^64 sequences of terms, but only the 65 words 1, T, ..., T^64
         assert words_within_degree(one_plus_t, 64) == 65
         assert len(one_plus_t**64) == 65
+
+    def test_letter_budget_bounds_exponent_and_word_length(self, ab, X, Y):
+        assert LETTER_BUDGET == 2**12
+        assert (X**4096).degree == 4096
+        with pytest.raises(ResourceLimit, match="4,097.*letter budget of 4,096"):
+            X**4097
+        # a degree-2 base reaches the budget at half the exponent
+        with pytest.raises(ResourceLimit, match="4,098"):
+            (X * Y) ** 2049
+        # constants and zero have no letters, but the exponent is bounded too
+        with pytest.raises(ResourceLimit, match="4,097"):
+            FreePoly.constant(ab, 2) ** 4097
+        with pytest.raises(ResourceLimit, match="4,097"):
+            FreePoly.zero(ab) ** 4097
 
     def test_words_within_degree(self, ab, X, Y):
         # words of degree <= 6 over X, Y: 2^7 - 1

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from ncwitt import Alphabet, WittContext, parse_poly, r_map
 from ncwitt.cli import run
 from test_demos import DEMOS, golden_name
 
@@ -41,3 +42,13 @@ def test_stdout_matches_golden(name):
 def test_every_golden_file_is_checked():
     checked = [*CASES, *(golden_name(demo) for demo in DEMOS)]
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(checked)
+
+
+def test_rmap_l5_coordinates_parse_back_exactly():
+    # r_0, ..., r_4 of XY - YX at p = 2; r_4 has 4,115 terms of degree 32
+    ab = Alphabet(["X", "Y"])
+    texts = (GOLDEN / "rmap_l5.txt").read_text().strip()[1:-1].split(", ")
+    parsed = tuple(parse_poly(text, ab) for text in texts)
+    assert [str(f) for f in parsed] == texts
+    assert [len(f) for f in parsed] == [2, 2, 5, 35, 4115]
+    assert parsed == r_map([parse_poly("XY-YX", ab)], WittContext(ab, 2, 5)).coords.entries

@@ -1,6 +1,6 @@
 import pytest
 
-from ncwitt import Alphabet, FreePoly, ParseError, UnknownGenerator, parse_poly
+from ncwitt import Alphabet, FreePoly, ParseError, ResourceLimit, UnknownGenerator, parse_poly
 from ncwitt.verify import sample_poly
 
 
@@ -30,6 +30,26 @@ class TestParsing:
     def test_nested_parens(self, ab, X, Y):
         assert parse_poly("((X+Y)*(X-Y))^2", ab) == ((X + Y) * (X - Y)) ** 2
 
+    def test_factors_after_parens_keep_their_order(self, ab, X, Y):
+        assert parse_poly("2X(X+Y)^2Y 3 - -Y(X)X", ab) == 6 * X * (X + Y) ** 2 * Y + Y * X * X
+
+    def test_exponent_binds_to_last_letter_of_a_run(self, ab, X, Y):
+        assert parse_poly("XY^3X^0", ab) == X * Y**3
+
+    def test_plain_terms_take_no_ring_product(self, ab, monkeypatch):
+        calls = []
+
+        def counting(f, g, product=FreePoly.__mul__):
+            calls.append(1)
+            return product(f, g)
+
+        monkeypatch.setattr(FreePoly, "__mul__", counting)
+        f = parse_poly("-X^2YXY^2 + 3XYXY - 2^3Y^2X*Y + 7", ab)
+        assert not calls
+        assert len(f) == 4
+        parse_poly("X(X+Y)", ab)
+        assert calls
+
 
 class TestErrors:
     def test_unknown_generator(self, ab):
@@ -52,6 +72,17 @@ class TestErrors:
     def test_stray_character(self, ab):
         with pytest.raises(ParseError):
             parse_poly("X @ Y", ab)
+
+    def test_non_decimal_digit_is_a_stray_character(self, ab):
+        # str.isdigit() accepts '²', but int() does not
+        with pytest.raises(ParseError, match="unexpected character '²'") as err:
+            parse_poly("X^²", ab)
+        assert err.value.position == 2
+
+    @pytest.mark.parametrize("text", ["X^4097", "XY^99999999999", "2^4097", "(X)^4097"])
+    def test_exponent_past_letter_budget(self, ab, text):
+        with pytest.raises(ResourceLimit, match="letter budget of 4,096"):
+            parse_poly(text, ab)
 
 
 class TestMultiCharAlphabet:

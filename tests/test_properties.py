@@ -1,7 +1,8 @@
 """Property tests for the sparse-combination arithmetic that FreePoly and
 AbelPoly share, for the abelianization between them and its fast paths
-(trace powers and the word-power map on classes), and for the Witt-tuple
-core that coordinates, ghost vectors and componentwise lifts share."""
+(trace powers and the word-power map on classes), for the parser against
+FreePoly arithmetic, and for the Witt-tuple core that coordinates, ghost
+vectors and componentwise lifts share."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,9 @@ from ncwitt import (
     CoordinateTuple,
     FreePoly,
     GhostVector,
+    ParseError,
+    ResourceLimit,
+    UnknownGenerator,
     WittContext,
     XVector,
     abelianize,
@@ -92,6 +96,17 @@ def test_phi_class_is_phi_map_on_classes(f, p):
     assert phi_class(abelianize(f), p) == abelianize(phi_map(f, p))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    st.dictionaries(st.lists(st.integers(0, 1), min_size=16, max_size=40).map(tuple), st.integers(-9, 9), max_size=6),
+    st.integers(2, 3),
+)
+def test_phi_class_is_phi_map_on_long_classes(terms, p):
+    # the keys of r_3 and r_4 in the level-5 pipeline have 16 and 32 letters
+    f = FreePoly(AB, terms)
+    assert phi_class(abelianize(f), p) == abelianize(phi_map(f, p))
+
+
 @settings(max_examples=60, deadline=None)
 @given(words, st.integers(1, 9))
 def test_abel_poly_keys_must_be_canonical(w, c):
@@ -114,6 +129,94 @@ def test_abel_poly_rejects_letters_outside_alphabet(w, bad):
 @given(st.sampled_from([AB, MULTI]).flatmap(polys))
 def test_parse_inverts_str(f):
     assert parse_poly(str(f), f.alphabet) == f
+
+
+# -- the parser against FreePoly arithmetic -----------------------------------
+#
+# A node is (text, precedence, starts with '-', value): precedence 0 is a
+# sum, 1 a term, 2 a power and 3 an atom, as in the grammar of parser.py.
+# Each operand is put in parentheses only when its precedence is too low,
+# so most text takes the parser's term-building path, not FreePoly.
+
+
+def _operand(node, lowest):
+    text, prec, minus, _ = node
+    return text if prec >= lowest and not (minus and lowest > 1) else f"({text})"
+
+
+def _juxtapose(left, right, alphabet):
+    if not alphabet.single_char:
+        return f"{left}*{right}"
+    # a digit after a letter or a digit would join its run or number
+    return left + (" " if right[0].isdigit() else "") + right
+
+
+def _sum(signed):
+    (_, first), rest = signed[0], signed[1:]
+    text, value = _operand(first, 0), first[3]
+    for sign, node in rest:
+        text += f" {sign} {_operand(node, 1)}"
+        value = value + node[3] if sign == "+" else value - node[3]
+    return text, 0, first[2], value
+
+
+def _product(factors, alphabet):
+    (_, first), rest = factors[0], factors[1:]
+    text, value = _operand(first, 1), first[3]
+    for star, node in rest:
+        right = _operand(node, 2)
+        text = f"{text}*{right}" if star else _juxtapose(text, right, alphabet)
+        value = value * node[3]
+    return text, 1, first[2], value
+
+
+def _few_terms(limit):
+    return lambda node: len(node[3]) <= limit
+
+
+def expressions(alphabet):
+    atoms = st.integers(0, 12).map(
+        lambda c: (str(c), 3, False, FreePoly.constant(alphabet, c))
+    ) | st.sampled_from(alphabet.names).map(
+        lambda g: (g, 3, False, FreePoly.generator(alphabet, g))
+    )
+    # short sums among the leaves, so that products often have a factor in
+    # parentheses, the one factor the parser evaluates in the ring
+    leaves = atoms | st.lists(st.tuples(st.sampled_from("+-"), atoms), min_size=2, max_size=3).map(_sum)
+
+    def extend(nodes):
+        return st.one_of(
+            st.lists(st.tuples(st.sampled_from("+-"), nodes), min_size=2, max_size=4).map(_sum),
+            st.lists(st.tuples(st.booleans(), nodes.filter(_few_terms(6))), min_size=2, max_size=4).map(
+                lambda factors: _product(factors, alphabet)
+            ),
+            st.tuples(nodes.filter(_few_terms(3)), st.integers(0, 3)).map(
+                lambda t: (f"{_operand(t[0], 3)}^{t[1]}", 2, False, t[0][3] ** t[1])
+            ),
+            nodes.map(lambda n: (f"-{_operand(n, 2)}", 1, True, -n[3])),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=16)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of([st.tuples(st.just(ab), expressions(ab)) for ab in (AB, MULTI, ONE)]))
+def test_parse_poly_evaluates_like_free_poly(case):
+    alphabet, (text, _, _, value) = case
+    assert parse_poly(text, alphabet) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([AB, MULTI, ONE]),
+    st.text(st.sampled_from(list("XYTAbCdE()+-*^0129 ")) | st.characters(), max_size=30),
+)
+def test_parse_poly_raises_only_its_own_errors(alphabet, text):
+    try:
+        f = parse_poly(text, alphabet)
+    except (ParseError, UnknownGenerator, ResourceLimit):
+        return
+    assert isinstance(f, FreePoly)
 
 
 # -- the Witt-tuple core ------------------------------------------------------

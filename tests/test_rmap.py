@@ -14,6 +14,7 @@ from ncwitt import (
     counterexample_report,
     ghost_map,
     omega_map,
+    phi_class,
     phi_map,
     r_map,
     witt_polynomial,
@@ -38,6 +39,15 @@ def mutated_result(ab, X, Y):
 
 
 class TestRMap:
+    def test_phi_class_on_level_five_coordinates(self, ab, X, Y):
+        # r_map subtracts phi_class of the previous step's class; the classes
+        # of r_3 and r_4 have keys of 16 and 32 letters
+        coords = r_map([commutator(X, Y)], WittContext(ab, 2, 5)).coords.entries
+        classes = [abelianize(r) for r in coords]
+        assert max(len(w) for w, _ in classes[4].terms()) == 32
+        for r, alpha in zip(coords, classes):
+            assert phi_class(alpha, 2) == abelianize(phi_map(r, 2))
+
     def test_zero_input(self, ab):
         ctx = WittContext(ab, 2, 3)
         result = r_map([], ctx)
