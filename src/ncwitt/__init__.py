@@ -3,6 +3,7 @@
 from .freealg import (
     Alphabet,
     AlphabetMismatch,
+    COEFF_BIT_BUDGET,
     FreePoly,
     LETTER_BUDGET,
     MINUS_INFINITY,

@@ -23,9 +23,16 @@ TERM_BUDGET = 2**20
 
 #: The largest exponent, and the longest word of a power, that one
 #: computation may take or produce.  The longest word of the level-5
-#: pipeline at p = 2 has 32 letters; least_rotation, quadratic in the
-#: length, takes 0.06-0.1 s on one 4,096-letter word (CPython 3.11, Xeon).
+#: pipeline at p = 2 has 32 letters; least_rotation, linear in the
+#: length, takes 0.4-0.7 ms on one 4,096-letter word (CPython 3.11, Xeon;
+#: trying every rotation took 50-110 ms).
 LETTER_BUDGET = 2**12
+
+#: The most bits a coefficient of a power, a trace power or parsed text
+#: may take.  Python refuses to convert integers of more than 4,300
+#: decimal digits (about 14,284 bits) to or from text, so every
+#: coefficient within the budget can be parsed and printed.
+COEFF_BIT_BUDGET = 2**13
 
 #: Size bounds are computed exactly below this value and saturate at it,
 #: so that a huge exponent costs nothing to refuse.
@@ -34,8 +41,8 @@ COUNT_CAP = 2**64
 
 class ResourceLimit(ValueError):
     """Work refused before it started, because an exact bound on its
-    output size exceeds TERM_BUDGET, or its exponent or word length
-    exceeds LETTER_BUDGET."""
+    output size exceeds TERM_BUDGET, its exponent or word length exceeds
+    LETTER_BUDGET, or its coefficients may exceed COEFF_BIT_BUDGET bits."""
 
 
 def capped_power(base: int, exp: int) -> int:
@@ -62,6 +69,22 @@ def check_letters(n: int, degree) -> None:
             f"power {n} of a degree-{max(degree, 0)} polynomial: max(exponent, word length) "
             f"= {size:,}, above the letter budget of {LETTER_BUDGET:,}"
         )
+
+
+def check_bits(bits: int, what: str) -> None:
+    """Raise ResourceLimit, naming the bound, if a coefficient of `bits`
+    bits would exceed COEFF_BIT_BUDGET."""
+    if bits > COEFF_BIT_BUDGET:
+        raise ResourceLimit(
+            f"{what}: up to {bits:,} bits, above the coefficient budget of "
+            f"{COEFF_BIT_BUDGET:,} bits"
+        )
+
+
+def coefficient_bits(f: "SparseCombination") -> int:
+    """The bit length of the sum of |c| over the terms of f: every
+    coefficient of f ** n has at most n times as many bits."""
+    return sum(map(abs, f._terms.values())).bit_length()
 
 
 class AlphabetMismatch(ValueError):
@@ -316,8 +339,9 @@ class FreePoly(SparseCombination):
     def __pow__(self, k: int) -> "FreePoly":
         """Repeated squaring.  Raises ResourceLimit when the power may have
         more than TERM_BUDGET terms, by the smaller of (number of terms)^k
-        and words_within_degree(self, k), or when max(k, k * degree)
-        exceeds LETTER_BUDGET."""
+        and words_within_degree(self, k), when max(k, k * degree)
+        exceeds LETTER_BUDGET, or when k * coefficient_bits(self) exceeds
+        COEFF_BIT_BUDGET."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
         # one term has one word in every power, so only its length counts
@@ -330,6 +354,9 @@ class FreePoly(SparseCombination):
                 )
         if k > 1:
             check_letters(k, self.degree)
+            bits = k * coefficient_bits(self)
+            if bits > COEFF_BIT_BUDGET:
+                check_bits(bits, f"coefficients of a {len(self)}-term polynomial to the power {k}")
         result = None
         base = self
         while k:

@@ -14,14 +14,16 @@ polynomial returns it exactly.
 
 A term is built as a coefficient and a word; only a parenthesised factor
 is evaluated with FreePoly products and powers.  Exponents are bounded by
-freealg.check_letters.
+freealg.check_letters, and the coefficients that literals, integer powers
+and parenthesised products build by freealg.check_bits.
 """
 
 from __future__ import annotations
 
 import re
+from math import ceil, log2
 
-from .freealg import Alphabet, FreePoly, check_letters
+from .freealg import Alphabet, FreePoly, check_bits, check_letters, coefficient_bits
 
 
 class ParseError(ValueError):
@@ -140,7 +142,13 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
         elif kind == "int":
             n, i = _exponent(tokens, i)
             check_letters(n, 0)
-            coeff *= int(tok) ** n
+            # bounded before int() runs, which refuses over 4,300 digits
+            check_bits(ceil(len(tok) * log2(10)), "integer literal")
+            base = int(tok)
+            if n != 1:
+                check_bits(n * base.bit_length(), "integer power")
+            coeff *= base**n
+            check_bits(coeff.bit_length(), "term coefficient")
         else:
             raise ParseError(f"expected a value, found {tok!r}", position)
 
@@ -151,6 +159,8 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
                 break
             if kind in juxtaposed:
                 break
+            if prefix is not None:
+                check_bits(coeff.bit_length() + coefficient_bits(prefix), "term coefficient")
             _add_term(terms, coeff, _times_word(prefix, word, alphabet))
             if kind == "+" or kind == "-":
                 i, coeff = _term_start(tokens, i + 1, -1 if kind == "-" else 1)
@@ -161,6 +171,7 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
                 terms, coeff, word, prefix = groups.pop()
                 n, i = _exponent(tokens, i + 1)
                 prefix = _times_word(prefix, word, alphabet) * (inner if n == 1 else inner**n)
+                check_bits(coefficient_bits(prefix), "coefficients of a parenthesised product")
                 word = []
                 continue
             if groups:

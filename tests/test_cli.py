@@ -187,6 +187,18 @@ class TestResourceGuard:
         assert bound in err
         assert "letter budget" in err
 
+    @pytest.mark.parametrize("text", ["99999^999", "7" * 5000, "((9^999)^999)^9"])
+    def test_large_coefficients_refused_within_a_second(self, capture, text):
+        # not Python's message about its 4,300-digit limit on int and str
+        start = time.process_time()
+        code, out, err = capture("abelianize", "--", text)
+        assert time.process_time() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "coefficient budget of 8,192 bits" in err
+        assert "4300" not in err
+
     def test_huge_exponent_is_refused_at_once(self, capture):
         code, _, err = capture("abelianize", "(X+Y)^1000000000000")
         assert code == 1

@@ -50,6 +50,13 @@ class TestCircularClass:
             w = tuple(rng.randrange(2) for _ in range(rng.randint(0, 8)))
             assert least_rotation(w) == brute_least_rotation(w)
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_short_word_against_brute_force(self, k):
+        # all 90,631 words of length <= 10 over at most three letters
+        for n in range(11):
+            for w in product(range(k), repeat=n):
+                assert least_rotation(w) == brute_least_rotation(w)
+
 
 def necklace_formula(k, d):
     # (1/d) * sum over e | d of phi(e) * k^(d/e)
@@ -81,6 +88,13 @@ class TestTracePower:
         assert necklace_count(2, 21) <= TERM_BUDGET < 2**21
         with pytest.raises(ResourceLimit, match="4,200.*letter budget"):
             trace_power(X**200 + Y, 21)
+
+    def test_necklace_path_refuses_large_coefficients(self, X, Y):
+        # the necklace path as above, but 21 times the 401 bits of the
+        # coefficient sum 2^400 + 1 exceed the coefficient budget
+        assert necklace_count(2, 21) <= TERM_BUDGET < 2**21
+        with pytest.raises(ResourceLimit, match="8,421 bits.*coefficient budget of 8,192"):
+            trace_power(2**400 * X + Y, 21)
 
     def test_necklace_path_matches_expanded_power(self, ab, rng):
         # k >= 3 terms of mixed length, where the necklaces are fewer than

@@ -3,6 +3,7 @@ import pytest
 from ncwitt import (
     Alphabet,
     AlphabetMismatch,
+    COEFF_BIT_BUDGET,
     FreePoly,
     LETTER_BUDGET,
     MINUS_INFINITY,
@@ -115,6 +116,20 @@ class TestPowerGuard:
             FreePoly.constant(ab, 2) ** 4097
         with pytest.raises(ResourceLimit, match="4,097"):
             FreePoly.zero(ab) ** 4097
+
+    def test_coefficient_budget_bounds_power_coefficients(self, ab, X, Y):
+        assert COEFF_BIT_BUDGET == 2**13
+        # the sum of |c| of 5X has 3 bits: 2,730 * 3 = 8,190 is within
+        # the budget, 2,731 * 3 = 8,193 is not
+        assert (5 * X) ** 2730 == mono(ab, *[0] * 2730, coeff=5**2730)
+        with pytest.raises(ResourceLimit, match="8,193 bits.*coefficient budget of 8,192 bits"):
+            (5 * X) ** 2731
+        # (9^999)^999 needs 999 times the 3,167 bits of 9^999
+        nine = FreePoly.constant(ab, 9) ** 999
+        with pytest.raises(ResourceLimit, match="3,163,833 bits"):
+            nine**999
+        # a sum of |c| of 1 keeps every coefficient at +-1
+        assert ((X - Y) * (X - Y)) ** 2 == (X * X - X * Y - Y * X + Y * Y) ** 2
 
     def test_words_within_degree(self, ab, X, Y):
         # words of degree <= 6 over X, Y: 2^7 - 1

@@ -85,6 +85,28 @@ class TestErrors:
             parse_poly(text, ab)
 
 
+    @pytest.mark.parametrize(
+        "text, bits",
+        [
+            ("99999^999", "16,983"),
+            ("7" * 5000, "16,610"),
+            ("((9^999)^999)^9", "3,163,833"),
+            ("3^4000 3^4000", "12,680"),
+            ("(3^4000)(3^4000)", "12,680"),
+            ("(3^4000 X) 3^4000", "12,680"),
+            ("(3^4000)" * 2000, "12,680"),
+        ],
+    )
+    def test_coefficient_past_bit_budget(self, ab, text, bits):
+        with pytest.raises(ResourceLimit, match=f"{bits} bits.*coefficient budget of 8,192 bits"):
+            parse_poly(text, ab)
+
+    @pytest.mark.parametrize("text", ["7" * 2466 + "X", "3^4000 2^1800 Y", "(3^2500 X)(3^2500 Y)"])
+    def test_coefficient_within_bit_budget_prints_and_parses_back(self, ab, text):
+        f = parse_poly(text, ab)
+        assert parse_poly(str(f), ab) == f
+
+
 class TestMultiCharAlphabet:
     def test_requires_star(self):
         ab = Alphabet(["Ab", "Cd"])

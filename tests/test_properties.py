@@ -1,5 +1,6 @@
 """Property tests for the sparse-combination arithmetic that FreePoly and
-AbelPoly share, for the abelianization between them and its fast paths
+AbelPoly share, the ring axioms of FreePoly, the canonical rotation
+against its brute-force oracle, the abelianization and its fast paths
 (trace powers and the word-power map on classes), for the parser against
 FreePoly arithmetic, and for the Witt-tuple core that coordinates, ghost
 vectors and componentwise lifts share."""
@@ -7,10 +8,12 @@ vectors and componentwise lifts share."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cycquot import brute_least_rotation
 
 from ncwitt import (
     AbelPoly,
     Alphabet,
+    AlphabetMismatch,
     ContextMismatch,
     CoordinateTuple,
     FreePoly,
@@ -43,6 +46,59 @@ def polys(alphabet=AB):
     return st.dictionaries(word, st.integers(-9, 9), max_size=5).map(
         lambda terms: FreePoly(alphabet, terms)
     )
+
+
+def same_alphabet(count):
+    return st.sampled_from([AB, MULTI, ONE]).flatmap(lambda alphabet: st.tuples(*[polys(alphabet)] * count))
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_alphabet(3))
+def test_product_is_associative(fgh):
+    f, g, h = fgh
+    assert (f * g) * h == f * (g * h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(same_alphabet(3))
+def test_product_distributes_over_sum(fgh):
+    f, g, h = fgh
+    assert f * (g + h) == f * g + f * h
+    assert (f + g) * h == f * h + g * h
+
+
+@settings(max_examples=30, deadline=None)
+@given(polys(AB), polys(MULTI))
+def test_mixed_alphabets_raise_alphabet_mismatch(f, g):
+    for op in (lambda a, b: a + b, lambda a, b: a - b, lambda a, b: a * b):
+        for a, b in ((f, g), (g, f)):
+            with pytest.raises(AlphabetMismatch):
+                op(a, b)
+
+
+def rotation_words(k):
+    """Words over k letters of up to 64 letters, rotated at random: random
+    letters, runs of one letter, and powers u^m of either, where the skip
+    rules of a linear-time least rotation go wrong first."""
+    letter = st.integers(0, k - 1)
+    runs = st.lists(st.tuples(letter, st.integers(1, 16)), max_size=8).map(
+        lambda rs: [a for a, m in rs for _ in range(m)]
+    )
+    base = st.lists(letter, max_size=64) | runs
+    return st.tuples(base, st.integers(1, 8), st.integers(0, 63)).map(
+        lambda t: tuple(_rotate((t[0] * t[1])[:64], t[2]))
+    )
+
+
+def _rotate(w, r):
+    r = r % len(w) if w else 0
+    return w[r:] + w[:r]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(1, 5).flatmap(rotation_words))
+def test_least_rotation_matches_brute_force(w):
+    assert least_rotation(w) == brute_least_rotation(w)
 
 
 @settings(max_examples=60, deadline=None)
