@@ -141,13 +141,7 @@ def h_membership(f: FreePoly) -> bool:
     """
     if len(f.alphabet) != 2:
         raise ValueError("H is defined only over a two-generator alphabet")
-    reduced = f.reduce_mod(2)
-    for w, _ in reduced.terms():
-        if len(w) <= 3:
-            return False
-        if len(w) == 4 and w in _EXCLUDED_DEGREE4:
-            return False
-    return True
+    return not any(c % 2 and (len(w) <= 3 or w in _EXCLUDED_DEGREE4) for w, c in f._terms.items())
 
 
 def check_component1_in_H(

@@ -97,8 +97,11 @@ def _check_flags(args) -> None:
         raise UsageError(f"--level must be at least {min_level}, got {args.level}")
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, result, text: str, key: str = "result") -> None:
+    """Print text, or with --format json the command, its parameters and
+    the result under `key`."""
     if args.format == "json":
+        payload = {"command": args.command, "params": _params(args), key: result}
         print(json.dumps(payload, indent=2))
     else:
         print(text)
@@ -129,8 +132,8 @@ def run(argv=None) -> int:
             if len(args.coords) > ctx.n:
                 raise UsageError(f"expected at most {ctx.n} coordinates")
             coords = CoordinateTuple.of(ctx, [parse_poly(t, alphabet) for t in args.coords])
-            result = ghost_map(coords)
-            _emit(args, {"command": "ghost", "params": _params(args), "result": str(result)}, str(result))
+            text = str(ghost_map(coords))
+            _emit(args, text, text)
             return 0
 
         if args.command == "omega":
@@ -139,8 +142,8 @@ def run(argv=None) -> int:
             if len(args.coords) > ctx.n:
                 raise UsageError(f"expected at most {ctx.n} coordinates")
             coords = CoordinateTuple.of(ctx, [parse_poly(t, alphabet) for t in args.coords])
-            result = omega_map(coords)
-            _emit(args, {"command": "omega", "params": _params(args), "result": str(result)}, str(result))
+            text = str(omega_map(coords))
+            _emit(args, text, text)
             return 0
 
         if args.command == "rmap":
@@ -148,22 +151,20 @@ def run(argv=None) -> int:
             if len(args.epsilons) > ctx.n:
                 raise UsageError(f"expected at most {ctx.n} epsilons")
             eps = [parse_poly(t, alphabet) for t in args.epsilons]
-            result = r_map(eps, ctx)
-            text = str(result.coords)
-            _emit(args, {"command": "rmap", "params": _params(args), "result": text}, text)
+            text = str(r_map(eps, ctx).coords)
+            _emit(args, text, text)
             return 0
 
         if args.command == "abelianize":
-            result = abelianize(parse_poly(args.poly, alphabet))
-            _emit(args, {"command": "abelianize", "params": _params(args), "result": str(result)}, str(result))
+            text = str(abelianize(parse_poly(args.poly, alphabet)))
+            _emit(args, text, text)
             return 0
 
         if args.command == "hmember":
             if len(alphabet) != 2:
                 raise UsageError("H is defined only over a two-generator alphabet")
             member = h_membership(parse_poly(args.poly, alphabet))
-            text = "true" if member else "false"
-            _emit(args, {"command": "hmember", "params": _params(args), "result": member}, text)
+            _emit(args, member, "true" if member else "false")
             return 0
 
         if args.command == "verify":
@@ -171,11 +172,7 @@ def run(argv=None) -> int:
             report = run_checks(
                 selection, alphabet=alphabet, p=args.p, level=args.level, seed=args.seed
             )
-            _emit(
-                args,
-                {"command": "verify", "params": _params(args), "report": report.as_dict()},
-                str(report),
-            )
+            _emit(args, report.as_dict(), str(report), key="report")
             return 0 if report.passed else 1
 
         raise UsageError(f"unknown command {args.command!r}")

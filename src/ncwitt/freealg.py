@@ -146,18 +146,17 @@ def format_word(w: Word, alphabet: Alphabet) -> str:
     """
     if not w:
         return "1"
+    names = alphabet.names
     parts = []
-    i = 0
-    while i < len(w):
-        j = i
-        while j < len(w) and w[j] == w[i]:
-            j += 1
-        name = alphabet.names[w[i]]
-        run = j - i
-        parts.append(name if run == 1 else f"{name}^{run}")
-        i = j
-    sep = "" if alphabet.single_char else "*"
-    return sep.join(parts)
+    # one pass: close the run of the previous letter where a new one starts
+    prev, start = w[0], 0
+    for j, x in enumerate(w):
+        if x != prev:
+            parts.append(names[prev] if j - start == 1 else f"{names[prev]}^{j - start}")
+            prev, start = x, j
+    run = len(w) - start
+    parts.append(names[prev] if run == 1 else f"{names[prev]}^{run}")
+    return ("" if alphabet.single_char else "*").join(parts)
 
 
 class SparseCombination:
@@ -340,23 +339,30 @@ class FreePoly(SparseCombination):
         """Repeated squaring.  Raises ResourceLimit when the power may have
         more than TERM_BUDGET terms, by the smaller of (number of terms)^k
         and words_within_degree(self, k), when max(k, k * degree)
-        exceeds LETTER_BUDGET, or when k * coefficient_bits(self) exceeds
-        COEFF_BIT_BUDGET."""
+        exceeds LETTER_BUDGET, when k * coefficient_bits(self) exceeds
+        COEFF_BIT_BUDGET, or when the squaring_work bound on its term
+        products exceeds TERM_BUDGET."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-        # one term has one word in every power, so only its length counts
-        if len(self) > 1:
-            bound = capped_power(len(self), k)
-            if bound > TERM_BUDGET:
-                check_budget(
-                    min(bound, words_within_degree(self, k)),
-                    f"terms of a {len(self)}-term polynomial to the power {k}",
-                )
+        # one term has one word in every power, so only its length counts;
+        # while terms^k is within TERM_BUDGET, the products of the squarings
+        # stay within a small multiple of it
+        large = len(self) > 1 and capped_power(len(self), k) > TERM_BUDGET
+        if large:
+            check_budget(
+                min(capped_power(len(self), k), words_within_degree(self, k)),
+                f"terms of a {len(self)}-term polynomial to the power {k}",
+            )
         if k > 1:
             check_letters(k, self.degree)
             bits = k * coefficient_bits(self)
             if bits > COEFF_BIT_BUDGET:
                 check_bits(bits, f"coefficients of a {len(self)}-term polynomial to the power {k}")
+        if large:
+            check_budget(
+                squaring_work(self, k),
+                f"term products of a {len(self)}-term polynomial to the power {k}",
+            )
         result = None
         base = self
         while k:
@@ -389,6 +395,30 @@ def words_within_degree(f: FreePoly, n: int) -> int:
         return min(top + 1 if m else 1, COUNT_CAP)
     size = capped_power(m, top + 1)
     return size if size == COUNT_CAP else (size - 1) // (m - 1)
+
+
+def squaring_work(f: FreePoly, n: int) -> int:
+    """A bound on the term products that f ** n computes (capped at
+    COUNT_CAP): the sum of terms(a) * terms(b) over the products a * b of
+    repeated squaring, where f ** e has at most
+    min(terms(f) ** e, words_within_degree(f, e)) terms."""
+
+    def terms(e: int) -> int:
+        return min(capped_power(len(f), e), words_within_degree(f, e))
+
+    work = 0
+    done = 0  # the exponent of the partial result
+    e = 1  # the exponent of the current square
+    while n and work < COUNT_CAP:
+        if n & 1:
+            if done:
+                work += terms(done) * terms(e)
+            done += e
+        n >>= 1
+        if n:
+            work += terms(e) ** 2
+            e *= 2
+    return min(work, COUNT_CAP)
 
 
 def commutator(f: FreePoly, g: FreePoly) -> FreePoly:

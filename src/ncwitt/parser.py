@@ -12,10 +12,12 @@ generator name is a single character; multi-character alphabets require
 explicit '*'.  str(FreePoly) is the inverse: parsing a formatted
 polynomial returns it exactly.
 
-A term is built as a coefficient and a word; only a parenthesised factor
-is evaluated with FreePoly products and powers.  Exponents are bounded by
-freealg.check_letters, and the coefficients that literals, integer powers
-and parenthesised products build by freealg.check_bits.
+One regular-expression scan makes the tokens; a value (an integer, a
+name or a ')') and its optional '^ nat' are one token.  A term is built
+as a coefficient and a word; only a parenthesised factor is evaluated
+with FreePoly products and powers.  Exponents are bounded by
+freealg.check_letters, and the coefficients that literals, integer
+powers and parenthesised products build by freealg.check_bits.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 import re
 from math import ceil, log2
 
-from .freealg import Alphabet, FreePoly, check_bits, check_letters, coefficient_bits
+from .freealg import LETTER_BUDGET, Alphabet, FreePoly, check_bits, check_letters, coefficient_bits
 
 
 class ParseError(ValueError):
@@ -43,40 +45,53 @@ class UnknownGenerator(ValueError):
         self.position = position
 
 
-# A decimal integer, a name (\w is str.isalnum() or '_') or one other
-# character; whitespace matches none of them and is skipped.
-_TOKEN = re.compile(r"(\d+)|(\w+)|(\S)")
+# A value (a decimal integer, a name, where \w is str.isalnum() or '_',
+# or a ')') with the digits of its optional '^ nat', or one other
+# character; whitespace matches none of them and is skipped.  A '^' not
+# followed by digits matches alone.
+_TOKEN = re.compile(r"(?:(\d+)|(\w+)|(\)))(?:\s*\^\s*(\d+))?|(\S)")
 
 
-def _tokenize(text: str, alphabet: Alphabet) -> list[tuple[str, str, int]]:
-    """(kind, text, position) tuples: kind is 'int', 'gen', 'end' or the
-    operator character itself.  Over single-character names, a 'gen'
-    token is a whole run of generators, such as XYXY."""
+def _tokenize(text: str, alphabet: Alphabet):
+    """The tokens of text, and the letters of each name among them.
+
+    A token is a (kind, text, exponent, position) tuple: kind is 'int',
+    'gen', ')', 'end' or the operator character itself, and exponent is
+    the digits of a value's '^ nat' (None without one).  Over
+    single-character names, a 'gen' token is a whole run of generators,
+    such as XYXY; each name is checked against the alphabet once."""
     index = alphabet._index
     letters = "".join(alphabet.names) if alphabet.single_char else None
+    runs: dict[str, tuple[int, ...]] = {}
     tokens = []
+    append = tokens.append
     for m in _TOKEN.finditer(text):
-        number, name, other = m.groups()
+        number, name, close, exponent, other = m.groups()
         i = m.start()
         if number:
-            tokens.append(("int", number, i))
-        elif other:
-            if other not in "+-*^()":
-                raise ParseError(f"unexpected character {other!r}", i)
-            tokens.append((other, other, i))
-        elif not (name[0].isalpha() or name[0] == "_"):
-            raise ParseError(f"unexpected character {name[0]!r}", i)
-        elif letters is not None:
-            rest = name.lstrip(letters)
-            if rest:
-                raise UnknownGenerator(rest[0], i + len(name) - len(rest))
-            tokens.append(("gen", name, i))
-        elif name in index:
-            tokens.append(("gen", name, i))
+            append(("int", number, exponent, i))
+        elif name:
+            if name not in runs:
+                if not (name[0].isalpha() or name[0] == "_"):
+                    raise ParseError(f"unexpected character {name[0]!r}", i)
+                if letters is not None:
+                    rest = name.lstrip(letters)
+                    if rest:
+                        raise UnknownGenerator(rest[0], i + len(name) - len(rest))
+                    runs[name] = tuple(map(index.__getitem__, name))
+                elif name in index:
+                    runs[name] = (index[name],)
+                else:
+                    raise UnknownGenerator(name, i)
+            append(("gen", name, exponent, i))
+        elif close:
+            append((")", ")", exponent, i))
+        elif other in "+-*^(":
+            append((other, other, None, i))
         else:
-            raise UnknownGenerator(name, i)
-    tokens.append(("end", "", len(text)))
-    return tokens
+            raise ParseError(f"unexpected character {other!r}", i)
+    append(("end", "", None, len(text)))
+    return tokens, runs
 
 
 def _term_start(tokens, i: int, sign: int) -> tuple[int, int]:
@@ -84,15 +99,15 @@ def _term_start(tokens, i: int, sign: int) -> tuple[int, int]:
     return (i + 1, -sign) if tokens[i][0] == "-" else (i, sign)
 
 
-def _exponent(tokens, i: int) -> tuple[int, int]:
-    """The exponent of the factor that ends before tokens[i] (1 if it has
-    none), and the index after it."""
-    if tokens[i][0] != "^":
-        return 1, i
-    kind, text, position = tokens[i + 1]
-    if kind != "int":
-        raise ParseError("exponent must be a non-negative integer", position)
-    return int(text), i + 2
+def _exponent(tokens, i: int, digits: str | None) -> int:
+    """The exponent of the value before tokens[i], whose token captured
+    `digits` (1 if it has none).  A '^' token at tokens[i] matched alone,
+    so no non-negative integer follows it: an error."""
+    if digits is not None:
+        return int(digits)
+    if tokens[i][0] == "^":
+        raise ParseError("exponent must be a non-negative integer", tokens[i + 1][3])
+    return 1
 
 
 def _times_word(prefix: FreePoly | None, word: list[int], alphabet: Alphabet) -> FreePoly:
@@ -101,19 +116,18 @@ def _times_word(prefix: FreePoly | None, word: list[int], alphabet: Alphabet) ->
     return monomial if prefix is None else prefix * monomial
 
 
-def _add_term(terms: dict, coeff: int, term: FreePoly) -> None:
-    for w, c in term._terms.items():
-        s = terms.get(w, 0) + coeff * c
-        if s:
-            terms[w] = s
-        else:
-            terms.pop(w, None)
+def _add_term(terms: dict, w: tuple[int, ...], c: int) -> None:
+    """terms += c * w, storing no zero coefficient."""
+    s = terms.get(w, 0) + c
+    if s:
+        terms[w] = s
+    else:
+        terms.pop(w, None)
 
 
 def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
     """Parse an expression into an exact free polynomial."""
-    tokens = _tokenize(text, alphabet)
-    index = alphabet._index
+    tokens, runs = _tokenize(text, alphabet)
     juxtaposed = ("int", "gen", "(") if alphabet.single_char else ()
     # The current term is coeff * prefix * word, where prefix is the
     # product up to its last parenthesised factor (None before one).
@@ -124,7 +138,7 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
     word: list[int] = []
     prefix = None
     while True:
-        kind, tok, position = tokens[i]
+        kind, tok, digits, position = tokens[i]
         i += 1
         if kind == "(":
             groups.append((terms, coeff, word, prefix))
@@ -132,15 +146,20 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
             i, coeff = _term_start(tokens, i, 1)
             continue
         if kind == "gen":
-            letters = (index[tok],) if tok in index else tuple(map(index.__getitem__, tok))
-            n, i = _exponent(tokens, i)
-            if n != 1:
+            letters = runs[tok]
+            if digits is not None:
+                # the letter budget, as check_letters(n, 1) tests it, inline
+                # because most tokens of a long text pass here
+                n = int(digits)
+                if n > LETTER_BUDGET:
+                    check_letters(n, 1)
                 # the exponent binds to the last letter of a run
-                check_letters(n, 1)
                 letters = letters[:-1] + letters[-1:] * n
+            elif tokens[i][0] == "^":
+                _exponent(tokens, i, None)  # raises: no digits after the '^'
             word += letters
         elif kind == "int":
-            n, i = _exponent(tokens, i)
+            n = _exponent(tokens, i, digits)
             check_letters(n, 0)
             # bounded before int() runs, which refuses over 4,300 digits
             check_bits(ceil(len(tok) * log2(10)), "integer literal")
@@ -153,15 +172,18 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
             raise ParseError(f"expected a value, found {tok!r}", position)
 
         while True:  # after a factor
-            kind, tok, position = tokens[i]
+            kind, tok, digits, position = tokens[i]
             if kind == "*":
                 i += 1
                 break
             if kind in juxtaposed:
                 break
-            if prefix is not None:
+            if prefix is None:
+                _add_term(terms, tuple(word), coeff)
+            else:
                 check_bits(coeff.bit_length() + coefficient_bits(prefix), "term coefficient")
-            _add_term(terms, coeff, _times_word(prefix, word, alphabet))
+                for w, c in _times_word(prefix, word, alphabet)._terms.items():
+                    _add_term(terms, w, coeff * c)
             if kind == "+" or kind == "-":
                 i, coeff = _term_start(tokens, i + 1, -1 if kind == "-" else 1)
                 word, prefix = [], None
@@ -169,7 +191,8 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
             if kind == ")" and groups:
                 inner = FreePoly._from_terms(alphabet, terms)
                 terms, coeff, word, prefix = groups.pop()
-                n, i = _exponent(tokens, i + 1)
+                i += 1
+                n = _exponent(tokens, i, digits)
                 prefix = _times_word(prefix, word, alphabet) * (inner if n == 1 else inner**n)
                 check_bits(coefficient_bits(prefix), "coefficients of a parenthesised product")
                 word = []

@@ -29,6 +29,13 @@ def ctx3(ab):
     return WittContext(ab, 2, 3)
 
 
+def h_membership_by_reduce_mod(f):
+    # the definition: after reducing mod 2, no term of degree <= 3 survives
+    # and no surviving degree-4 term is XYXY or YXYX
+    reduced = f.reduce_mod(2)
+    return all(len(w) >= 4 and w not in ((0, 1, 0, 1), (1, 0, 1, 0)) for w, _ in reduced.terms())
+
+
 def mono(ab, *letters, coeff=1):
     return FreePoly.monomial(ab, tuple(letters), coeff)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ncwitt import Alphabet, abelianize, parse_poly
+from ncwitt import AbelPoly, Alphabet, abelianize, parse_poly
 from ncwitt.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -199,6 +199,21 @@ class TestResourceGuard:
         assert "coefficient budget of 8,192 bits" in err
         assert "4300" not in err
 
+    @pytest.mark.parametrize(
+        "argv", [["--", "(2+X)^4096"], ["--alphabet", "T", "--", "(1+T)^4096"]]
+    )
+    def test_term_products_refused_within_a_second(self, capture, argv):
+        # 4,097 terms, 4,096 letters and 8,192 coefficient bits pass their
+        # budgets, but the squarings would take some 5.6 million products
+        start = time.process_time()
+        code, out, err = capture("abelianize", *argv)
+        assert time.process_time() - start < 1
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:")
+        assert "term products" in err
+        assert "5,600,607, above the budget of 1,048,576" in err
+
     def test_huge_exponent_is_refused_at_once(self, capture):
         code, _, err = capture("abelianize", "(X+Y)^1000000000000")
         assert code == 1
@@ -262,6 +277,30 @@ class TestUsageErrors:
         code, out, _ = capture("--help")
         assert code == 0
         assert "usage:" in out
+
+
+class TestFormatOnce:
+    """Each result is formatted once and the text serves both --format
+    values: a long result's text costs as much as reading its input."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [(["abelianize", "XYXY + 2X^2Y - YX"], 1), (["ghost", "--level", "2", "XY - YX", "X"], 2)],
+    )
+    def test_one_str_per_class(self, capture, monkeypatch, argv, calls, fmt):
+        counted = []
+        original = AbelPoly.__str__
+
+        def counting_str(self):
+            counted.append(self)
+            return original(self)
+
+        monkeypatch.setattr(AbelPoly, "__str__", counting_str)
+        code, out, _ = capture(argv[0], "--format", fmt, *argv[1:])
+        assert code == 0
+        assert len(counted) == calls
+        assert str(counted[-1]) in out
 
 
 class TestJsonSchema:

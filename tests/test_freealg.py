@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import pytest
 
 from ncwitt import (
@@ -12,8 +14,19 @@ from ncwitt import (
     commutator,
     phi_map,
 )
-from ncwitt.freealg import words_within_degree
+from ncwitt.freealg import squaring_work, words_within_degree
 from ncwitt.verify import sample_poly
+
+
+def groupby_format_word(w, alphabet):
+    # independent oracle for format_word: one group per run of a letter
+    if not w:
+        return "1"
+    parts = []
+    for x, run in groupby(w):
+        k = len(list(run))
+        parts.append(alphabet.names[x] + ("" if k == 1 else f"^{k}"))
+    return ("" if alphabet.single_char else "*").join(parts)
 
 
 def mono(ab, *letters, coeff=1):
@@ -116,6 +129,29 @@ class TestPowerGuard:
             FreePoly.constant(ab, 2) ** 4097
         with pytest.raises(ResourceLimit, match="4,097"):
             FreePoly.zero(ab) ** 4097
+
+    def test_squaring_work_bounds_term_products(self):
+        ab = Alphabet(["T"])
+        one_plus_t = FreePoly.one(ab) + FreePoly.generator(ab, "T")
+        # squares of 2, 3, 5, 9 and 17 terms
+        assert squaring_work(one_plus_t, 16) == 4 + 9 + 25 + 81
+        # 13 = 1101b: three squares, and two products into the result
+        assert squaring_work(one_plus_t, 13) == (4 + 9 + 25) + (2 * 5 + 6 * 9)
+        assert len(one_plus_t**512) == 513
+        with pytest.raises(ResourceLimit, match="term products.*5,600,607"):
+            one_plus_t**4096
+        # (1+T)^2048 took 30 s of big-integer products
+        with pytest.raises(ResourceLimit, match="term products.*1,402,206"):
+            one_plus_t**2048
+
+    def test_squaring_work_only_past_term_budget(self, monkeypatch, X, Y):
+        # below TERM_BUDGET, terms^k bounds the products as well
+        def refuse(f, n):
+            raise AssertionError("squaring_work called")
+
+        monkeypatch.setattr("ncwitt.freealg.squaring_work", refuse)
+        assert len((X + Y) ** 12) == 2**12
+        assert len((3 * X) ** 4096) == 1
 
     def test_coefficient_budget_bounds_power_coefficients(self, ab, X, Y):
         assert COEFF_BIT_BUDGET == 2**13

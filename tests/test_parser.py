@@ -1,4 +1,9 @@
+import random
+
+import parser_oracle
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncwitt import Alphabet, FreePoly, ParseError, ResourceLimit, UnknownGenerator, parse_poly
 from ncwitt.verify import sample_poly
@@ -154,3 +159,64 @@ class TestFormatting:
             f = sample_poly(rng, ab, 3, 4)
             s = str(f)
             assert str(parse_poly(s, ab)) == s
+
+
+# -- against the parser whose tokens carry no exponent ------------------------
+
+ORACLE_ALPHABETS = [
+    Alphabet(names) for names in (["X", "Y"], ["X", "Y", "Z"], ["T"], ["Ab", "Cd", "E"], ["Ab", "X"])
+]
+# Texts are drawn from the alphabet's own names and the grammar's
+# characters, with now and then a stray piece: a letter or name outside the
+# alphabet, a digit that is not decimal ('²') or not ASCII ('٣'), a stray
+# character or '_'.  '^' is listed twice, so that exponents are common.
+GRAMMAR_PIECES = ("0", "1", "2", "3", "12", "+", "-", "*", "^", "^", "(", ")", " ", "\t")
+STRAY_PIECES = ("A", "b", "Z", "T", "Cd", "²", "٣", "@", "_")
+
+
+def random_text(rng, alphabet, length):
+    pieces = alphabet.names + GRAMMAR_PIECES
+    return "".join(
+        rng.choice(STRAY_PIECES) if rng.random() < 0.03 else rng.choice(pieces) for _ in range(length)
+    )
+
+
+def outcome(parse, text, alphabet):
+    """The parsed polynomial, or the exception's type, message and position."""
+    try:
+        return parse(text, alphabet)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def assert_agrees_with_oracle(text, alphabet):
+    expected = outcome(parser_oracle.parse_poly, text, alphabet)
+    assert outcome(parse_poly, text, alphabet) == expected, (text, alphabet)
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize(
+        "text",
+        ["X^", "X^Y", "X^2^3", "2^3^4", "(X)^", ")^2", "X ^ 2", "X^²", "(X+Y",
+         "(X)^2^3", "X^^2", "X^ \t3Y", "X^٣", "-(X-Y)^2X"],
+    )
+    def test_listed_texts(self, text):
+        for alphabet in ORACLE_ALPHABETS:
+            assert_agrees_with_oracle(text, alphabet)
+
+    def test_seeded_sweep(self):
+        rng = random.Random(2017)
+        valid = 0
+        for _ in range(50_000):
+            alphabet = rng.choice(ORACLE_ALPHABETS)
+            text = random_text(rng, alphabet, rng.randint(0, 14))
+            expected = outcome(parser_oracle.parse_poly, text, alphabet)
+            assert outcome(parse_poly, text, alphabet) == expected, (text, alphabet)
+            valid += isinstance(expected, FreePoly)
+        # the sweep reaches values as well as errors
+        assert valid > 2_000
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(ORACLE_ALPHABETS), st.randoms(use_true_random=False), st.integers(0, 16))
+    def test_property(self, alphabet, rng, length):
+        assert_agrees_with_oracle(random_text(rng, alphabet, length), alphabet)

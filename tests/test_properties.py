@@ -1,14 +1,17 @@
 """Property tests for the sparse-combination arithmetic that FreePoly and
 AbelPoly share, the ring axioms of FreePoly, the canonical rotation
-against its brute-force oracle, the abelianization and its fast paths
-(trace powers and the word-power map on classes), for the parser against
-FreePoly arithmetic, and for the Witt-tuple core that coordinates, ghost
-vectors and componentwise lifts share."""
+against its brute-force oracle, format_word against its groupby oracle,
+the abelianization and its fast paths (trace powers and the word-power
+map on classes), H-membership against its reduce_mod definition, for the
+parser against FreePoly arithmetic, and for the Witt-tuple core that
+coordinates, ghost vectors and componentwise lifts share."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_cdwitt import h_membership_by_reduce_mod
 from test_cycquot import brute_least_rotation
+from test_freealg import groupby_format_word
 
 from ncwitt import (
     AbelPoly,
@@ -24,6 +27,7 @@ from ncwitt import (
     WittContext,
     XVector,
     abelianize,
+    h_membership,
     least_rotation,
     parse_poly,
     phi_class,
@@ -32,6 +36,7 @@ from ncwitt import (
     verschiebung,
     x_abelianize,
 )
+from ncwitt.freealg import format_word
 
 AB = Alphabet(["X", "Y"])
 MULTI = Alphabet(["Ab", "Cd", "E"])
@@ -99,6 +104,19 @@ def _rotate(w, r):
 @given(st.integers(1, 5).flatmap(rotation_words))
 def test_least_rotation_matches_brute_force(w):
     assert least_rotation(w) == brute_least_rotation(w)
+
+
+def format_words(alphabet):
+    # runs of one letter come from repeated draws, most often over {T}
+    letter = st.integers(0, len(alphabet) - 1)
+    return st.tuples(st.just(alphabet), st.lists(letter, max_size=64).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([AB, ONE, MULTI]).flatmap(format_words))
+def test_format_word_matches_groupby(case):
+    alphabet, w = case
+    assert format_word(w, alphabet) == groupby_format_word(w, alphabet)
 
 
 @settings(max_examples=60, deadline=None)
@@ -179,6 +197,25 @@ def test_abel_poly_rejects_letters_outside_alphabet(w, bad):
     key = least_rotation(w + (bad,))
     with pytest.raises(ValueError, match="outside the alphabet"):
         AbelPoly(AB, {key: 1})
+
+
+h_words = st.one_of(
+    st.lists(st.integers(0, 1), max_size=6).map(tuple), st.sampled_from([(0, 1, 0, 1), (1, 0, 1, 0)])
+)
+h_terms = st.dictionaries(h_words, st.integers(-7, 7), max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(h_terms, st.sets(h_words), h_terms)
+def test_h_membership_matches_reduce_mod(odd, cancelled, even):
+    # the terms of `odd` on words in `cancelled` sum to zero; `even` adds
+    # even coefficients, positive and negative
+    f = (
+        FreePoly(AB, odd)
+        - FreePoly(AB, {w: c for w, c in odd.items() if w in cancelled})
+        + 2 * FreePoly(AB, even)
+    )
+    assert h_membership(f) == h_membership_by_reduce_mod(f)
 
 
 @settings(max_examples=60, deadline=None)
