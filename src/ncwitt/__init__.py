@@ -49,7 +49,6 @@ from .cdwitt import (
 )
 from .rmap import (
     CounterexampleReport,
-    DegreeCapExceeded,
     EpsilonNotCommutator,
     RResult,
     check_ghost_vanishes,

@@ -11,9 +11,10 @@ through degree-bounded quotients mod 2, via the GF(2) span check.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly, Word, word_key
+from .freealg import Alphabet, FreePoly, Word
 from .cycquot import AbelPoly, abelianize
 from .ghost import (
     AdditiveWittTuple,
@@ -47,19 +48,6 @@ def omega_map(coords: CoordinateTuple) -> XVector:
     to the Teichmuller lift of a_i, truncated at the same level."""
     ctx = coords.context
     return XVector(ctx, tuple(witt_polynomial(j, coords) for j in range(ctx.n)))
-
-
-def omega_as_teichmuller_sum(coords: CoordinateTuple) -> XVector:
-    """The right-hand side of the decomposition behind omega_map, computed
-    the slow way from the V / Teichmuller generators."""
-    ctx = coords.context
-    total = XVector.of(ctx)
-    for i, a in enumerate(coords.entries):
-        term = x_teichmuller(ctx, a)
-        for _ in range(i):
-            term = verschiebung(term)
-        total = total + term
-    return total
 
 
 def x_abelianize(x: XVector) -> GhostVector:
@@ -158,65 +146,41 @@ def check_component1_in_H(
 # -- GF(2) linear algebra over circular-word bases ------------------------
 
 
-def _collect_basis(polys: Sequence[AbelPoly], degree_bound: int) -> list[Word]:
-    basis: set[Word] = set()
-    for poly in polys:
-        for cw, _ in poly.terms():
-            if len(cw) <= degree_bound:
-                basis.add(cw)
-    return sorted(basis, key=word_key)
-
-
-def _to_bitset(poly: AbelPoly, index: dict[Word, int], degree_bound: int) -> int:
-    bits = 0
-    for cw, c in poly.terms():
-        if len(cw) <= degree_bound and c % 2:
-            bits |= 1 << index[cw]
-    return bits
-
-
-def _gf2_rank(rows: list[int]) -> int:
-    rank = 0
-    pivots: list[int] = []
-    for row in rows:
-        for pivot in pivots:
-            row = min(row, row ^ pivot)
-        if row:
-            pivots.append(row)
-            pivots.sort(reverse=True)
-            rank += 1
-    return rank
-
-
 def f2_span_membership(
     target: AbelPoly, generators: Sequence[AbelPoly], degree_bound: int
 ) -> bool:
     """Whether target lies in the GF(2) span of the generators, inside the
     vector space with basis the circular words of degree <= degree_bound.
-    Everything is reduced mod 2 and truncated to the bound first."""
-    basis = _collect_basis([target, *generators], degree_bound)
-    index = {cw: i for i, cw in enumerate(basis)}
-    rows = [_to_bitset(g, index, degree_bound) for g in generators]
-    vec = _to_bitset(target, index, degree_bound)
-    if vec == 0:
-        return True
-    return _gf2_rank(rows) == _gf2_rank(rows + [vec])
+    Everything is reduced mod 2 and truncated to the bound first.
 
-
-def _all_words(alphabet: Alphabet, max_degree: int) -> list[Word]:
-    words: list[Word] = [()]
-    frontier: list[Word] = [()]
-    for _ in range(max_degree):
-        frontier = [w + (i,) for w in frontier for i in range(len(alphabet))]
-        words.extend(frontier)
-    return words
+    One elimination over bitsets: each circular word gets a bit when first
+    seen, and each row is reduced against the pivot rows, keyed by their
+    leading bit.  A generator that does not reduce to 0 becomes a pivot;
+    target, reduced last, is in the span exactly when it reduces to 0."""
+    bits: dict[Word, int] = {}
+    pivots: dict[int, int] = {}
+    for poly in (*generators, target):
+        row = 0
+        for cw, c in poly._terms.items():
+            if c % 2 and len(cw) <= degree_bound:
+                row |= 1 << bits.setdefault(cw, len(bits))
+        while row and (lead := row.bit_length() - 1) in pivots:
+            row ^= pivots[lead]
+        if row:
+            pivots[lead] = row
+    return row == 0
 
 
 def square_class_generators(alphabet: Alphabet, max_degree: int = 2) -> list[AbelPoly]:
     """Abelianized squares of all words of degree <= max_degree, the
     candidate classes a sum of Teichmuller lifts can reach in component 1
     mod 2."""
-    return [abelianize(FreePoly.monomial(alphabet, w) ** 2) for w in _all_words(alphabet, max_degree)]
+    letters = range(len(alphabet))
+    return [
+        abelianize(FreePoly.monomial(alphabet, w) ** 2)
+        for d in range(max_degree + 1)
+        for w in product(letters, repeat=d)
+    ]
 
 
 def check_lemma_xyc(alphabet: Alphabet | None = None) -> bool:

@@ -12,13 +12,15 @@ import json
 import os
 import sys
 
-from .freealg import Alphabet, AlphabetMismatch
+from .freealg import Alphabet
 from .cycquot import NotDivisible, abelianize
-from .ghost import ContextMismatch, CoordinateTuple, WittContext, check_prime, ghost_map
+from .ghost import CoordinateTuple, WittContext, check_prime, ghost_map
 from .cdwitt import h_membership, omega_map
 from .parser import ParseError, UnknownGenerator, parse_poly
-from .rmap import DegreeCapExceeded, EpsilonNotCommutator, r_map
-from .verify import CHECK_IDS, DEFAULT_SEED, PrimeNotSupported, UnknownCheck, run_checks
+from .rmap import r_map
+from .verify import (
+    CHECK_IDS, DEFAULT_SEED, AlphabetNotSupported, PrimeNotSupported, UnknownCheck, run_checks
+)
 
 
 class UsageError(ValueError):
@@ -180,6 +182,7 @@ def run(argv=None) -> int:
     except (
         UsageError,
         PrimeNotSupported,
+        AlphabetNotSupported,
         UnknownCheck,
         ParseError,
         UnknownGenerator,
@@ -187,14 +190,7 @@ def run(argv=None) -> int:
     ) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (
-        NotDivisible,
-        EpsilonNotCommutator,
-        DegreeCapExceeded,
-        AlphabetMismatch,
-        ContextMismatch,
-        ValueError,
-    ) as exc:
+    except (NotDivisible, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,16 +3,17 @@ whose ghost image vanishes, and the non-injectivity pipeline built on it.
 
 Given epsilons in [A,A], the recursion sets r_0 = eps_0 and
 
-    r_i = eps_i - sigma0( p^{-i} ( omega_i(r_0,...,r_{i-1},0)
-                                   - phi(omega_{i-1}(r_0,...,r_{i-1})) ) )
+    r_i = eps_i - sigma0( p^{-i} omega_i(r_0,...,r_{i-1},0) )
 
-where the inner difference is taken in A/[A,A] (divisibility by p^i only
-holds there) and sigma0 lifts back along least rotations.  Both classes
-are computed without expanding a power: the first from trace powers, the
-second by phi_class from the previous step's class.  The resulting
-tuple always ghost-maps to zero, yet its un-abelianized Witt-polynomial
-lift can fail the component-1 obstruction test, which is exactly the
-non-injectivity counterexample this module replays.
+where omega_i is taken in A/[A,A] (divisibility by p^i only holds
+there) and sigma0 lifts back along least rotations, with the class
+taken from trace powers.  The general ghost-preimage step would also
+subtract phi(omega_{i-1}(r_0,...,r_{i-1})), whose class is zero here:
+every eps_i is in [A,A] and abelianize(sigma0(c)) = c, so each step
+makes the next ghost component vanish.  The resulting tuple always
+ghost-maps to zero, yet its un-abelianized Witt-polynomial lift can fail
+the component-1 obstruction test, which is exactly the non-injectivity
+counterexample this module replays.
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .freealg import Alphabet, FreePoly, commutator, phi_map
-from .cycquot import (
-    AbelPoly,
-    abelianize,
-    divide_exact,
-    in_commutator_subgroup,
-    phi_class,
-    sigma0,
-)
+from .cycquot import AbelPoly, abelianize, divide_exact, in_commutator_subgroup, sigma0
 from .ghost import CoordinateTuple, WittContext, ghost_map, witt_class, witt_polynomial
 from .cdwitt import h_membership
 
@@ -38,14 +32,10 @@ class EpsilonNotCommutator(ValueError):
     guarantee presumes commutator inputs."""
 
 
-class DegreeCapExceeded(RuntimeError):
-    """The recursion produced polynomials beyond the configured degree cap."""
-
-
 @dataclass(frozen=True)
 class RStep:
-    """Audit record for one recursion step: the abelianized difference that
-    was divided, and the divisor p^i."""
+    """Audit record for one recursion step: the class of
+    w_i(r_0, ..., r_{i-1}, 0) that was divided, and the divisor p^i."""
 
     index: int
     pre_division: AbelPoly
@@ -58,14 +48,13 @@ class RResult:
     audit: tuple[RStep, ...]
 
 
-def r_map(
-    epsilons: Sequence[FreePoly], ctx: WittContext, degree_cap: int = 64
-) -> RResult:
+def r_map(epsilons: Sequence[FreePoly], ctx: WittContext) -> RResult:
     """Run the recursion on a tuple of commutator polynomials.
 
     Raises EpsilonNotCommutator on invalid input, NotDivisible if a
     division step fails (an internal-consistency violation), and
-    DegreeCapExceeded past the configured degree cap.
+    ResourceLimit, from the trace powers, when a step's powers exceed a
+    budget of freealg (terms, letters or coefficient bits).
     """
     epsilons = CoordinateTuple.of(ctx, epsilons).entries
     for i, eps in enumerate(epsilons):
@@ -75,22 +64,11 @@ def r_map(
     p = ctx.p
     rs: list[FreePoly] = [epsilons[0]]
     audit: list[RStep] = []
-    high = AbelPoly.zero(ctx.alphabet)  # none before step 1
     for i in range(1, ctx.n):
-        # the class of w_{i-1}(r_0, ..., r_{i-1}): the previous step's
-        # high plus its last term (zero for commutator inputs, whose
-        # earlier ghost components vanish)
-        prev = high + (p ** (i - 1)) * abelianize(rs[-1])
-        high = witt_class(i, rs, p)  # the class of w_i(r_0, ..., r_{i-1}, 0)
-        diff = high - phi_class(prev, p)
+        diff = witt_class(i, rs, p)  # the class of w_i(r_0, ..., r_{i-1}, 0)
         divisor = p**i
         audit.append(RStep(i, diff, divisor))
-        r_i = epsilons[i] - sigma0(divide_exact(diff, divisor))
-        if r_i.degree > degree_cap:
-            raise DegreeCapExceeded(
-                f"r_{i} has degree {r_i.degree}, above the cap of {degree_cap}"
-            )
-        rs.append(r_i)
+        rs.append(epsilons[i] - sigma0(divide_exact(diff, divisor)))
     return RResult(CoordinateTuple.of(ctx, rs), tuple(audit))
 
 

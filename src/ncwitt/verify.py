@@ -212,7 +212,7 @@ def check_omegar0_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 10) 
         n = rng.randint(1, 3)
         ctx = WittContext(alphabet, p, n)
         eps = [sample_commutator(rng, alphabet) for _ in range(n)]
-        result = r_map(eps, ctx, degree_cap=128)
+        result = r_map(eps, ctx)
         if not check_ghost_vanishes(result):
             failures.append(str(result.coords))
     return _tally(failures, cases)
@@ -271,54 +271,65 @@ def _tally(failures: list, total: int) -> tuple[bool, str]:
 
 
 #: Every named check, in report order: its id, its description, a runner
-#: (alphabet, p, level, seed) -> (passed, details), and whether the check
-#: exists only at p = 2.  Those four ignore p: the obstruction ideal H, the
-#: mod-2 square classes, the counterexample and the hand-solved classical
-#: Witt sum are formulated at p = 2 alone.
-_CHECKS: dict[str, tuple[str, Callable[[Alphabet, int, int, int], tuple[bool, str]], bool]] = {
+#: (alphabet, p, level, seed) -> (passed, details), whether the check
+#: exists only at p = 2, and whether it needs a two-generator alphabet.
+#: Four ignore p: the obstruction ideal H, the mod-2 square classes, the
+#: counterexample and the hand-solved classical Witt sum are formulated at
+#: p = 2 alone.  H and the square classes are formulated over {X, Y}; the
+#: counterexample and the classical sum fix their own alphabets.
+_CHECKS: dict[str, tuple[str, Callable[[Alphabet, int, int, int], tuple[bool, str]], bool, bool]] = {
     "wagen": (
         "ghost decomposition into shifted Teichmuller ghosts",
         lambda alphabet, p, level, seed: check_wagen(alphabet, p, seed),
+        False,
         False,
     ),
     "bracket-identity": (
         "commutator of shifted products equals the scaled shifted bracket",
         lambda alphabet, p, level, seed: check_bracket_sweep(alphabet, p, seed),
         False,
+        False,
     ),
     "lemma-phi": (
         "x^(p^k) agrees with the word-power map of x^(p^(k-1)) mod p^k and brackets",
         lambda alphabet, p, level, seed: check_phi_sweep(alphabet, seed),
+        False,
         False,
     ),
     "lemma-thelemma": (
         "component 1 of commutator generators lies in the obstruction ideal",
         lambda alphabet, p, level, seed: check_thelemma_sweep(alphabet, seed),
         True,
+        True,
     ),
     "lemma-xyc": (
         "the class of X^2Y^2 is not a square mod 2 below degree 5",
         lambda alphabet, p, level, seed: check_xyc(alphabet),
+        True,
         True,
     ),
     "omegar0": (
         "the recursion output ghost-maps to zero",
         lambda alphabet, p, level, seed: check_omegar0_sweep(alphabet, p, seed),
         False,
+        False,
     ),
     "counterexample": (
         "the component-1 obstruction defeats injectivity of the ghost analogue",
         lambda alphabet, p, level, seed: check_counterexample(level),
         True,
+        False,
     ),
     "commutative-sanity": (
         "ghost addition agrees with classical Witt addition on one generator",
         lambda alphabet, p, level, seed: check_commutative_sanity(seed),
         True,
+        False,
     ),
     "pin": (
         "abelianized Witt-polynomial lift equals the ghost map",
         lambda alphabet, p, level, seed: check_pin_sweep(alphabet, p, seed),
+        False,
         False,
     ),
 }
@@ -336,6 +347,10 @@ class PrimeNotSupported(ValueError):
     """Some selected checks exist only at p = 2, and another p was asked for."""
 
 
+class AlphabetNotSupported(ValueError):
+    """Some selected checks need a two-generator alphabet, and another was given."""
+
+
 def run_checks(
     selection: Sequence[str],
     alphabet: Alphabet | None = None,
@@ -345,20 +360,26 @@ def run_checks(
 ) -> VerifyReport:
     """Run the named checks and aggregate a report.  Results follow the
     order of the check table, independent of the order of the selection.
-    Raises UnknownCheck on an id outside the table, and PrimeNotSupported
-    if p != 2 and the selection holds a check that exists only at p = 2,
-    both before running anything."""
+    Raises UnknownCheck on an id outside the table, PrimeNotSupported if
+    p != 2 and the selection holds a check that exists only at p = 2, and
+    AlphabetNotSupported if the alphabet has other than two generators and
+    the selection holds a check that needs two, all before running
+    anything."""
     if alphabet is None:
         alphabet = Alphabet(["X", "Y"])
     unknown = [s for s in selection if s not in CHECK_IDS]
     if unknown:
         raise UnknownCheck(f"unknown check ids: {unknown}; valid ids: {list(CHECK_IDS)}")
-    p2_only = [c for c, (_, _, only_p2) in _CHECKS.items() if only_p2 and c in selection]
+    p2_only = [c for c, (_, _, only_p2, _) in _CHECKS.items() if only_p2 and c in selection]
     if p != 2 and p2_only:
         raise PrimeNotSupported(f"checks {p2_only} exist only at p = 2, not at p = {p}")
+    two_only = [c for c, (*_, only_two) in _CHECKS.items() if only_two and c in selection]
+    if len(alphabet) != 2 and two_only:
+        names = ",".join(alphabet.names)
+        raise AlphabetNotSupported(f"checks {two_only} need a two-generator alphabet, not {names}")
 
     results = []
-    for check_id, (description, runner, _) in _CHECKS.items():
+    for check_id, (description, runner, *_) in _CHECKS.items():
         if check_id in selection:
             passed, details = runner(alphabet, p, level, seed)
             results.append(

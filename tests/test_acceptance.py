@@ -152,7 +152,7 @@ def test_criterion_7_ghost_vanishing_sweep(ab):
             n = rng.randint(1, 3)
             ctx = WittContext(ab, 2, n)
             eps = [sample_commutator(rng, ab) for _ in range(n)]
-            assert check_ghost_vanishes(r_map(eps, ctx, degree_cap=128))
+            assert check_ghost_vanishes(r_map(eps, ctx))
 
 
 def test_criterion_8_abelianized_lift_diagram(ab):

@@ -1,6 +1,11 @@
+import random
+from itertools import product
+
 import pytest
+from omega_oracle import omega_as_teichmuller_sum
 
 from ncwitt import (
+    AbelPoly,
     Alphabet,
     CoordinateTuple,
     FreePoly,
@@ -20,7 +25,7 @@ from ncwitt import (
     x_abelianize,
     x_teichmuller,
 )
-from ncwitt.cdwitt import omega_as_teichmuller_sum, square_class_generators
+from ncwitt.cdwitt import square_class_generators
 from ncwitt.verify import sample_nonconstant_poly, sample_poly
 
 
@@ -34,6 +39,56 @@ def h_membership_by_reduce_mod(f):
     # and no surviving degree-4 term is XYXY or YXYX
     reduced = f.reduce_mod(2)
     return all(len(w) >= 4 and w not in ((0, 1, 0, 1), (1, 0, 1, 0)) for w, _ in reduced.terms())
+
+
+def brute_f2_span_membership(target, generators, degree_bound):
+    # the definition: some subset of the generators sums to target mod 2,
+    # below the bound; each class is the set of its words of degree <=
+    # degree_bound with an odd coefficient
+    assert len(generators) <= 8
+
+    def support(poly):
+        return frozenset(w for w, c in poly.terms() if c % 2 and len(w) <= degree_bound)
+
+    goal = support(target)
+    supports = [support(g) for g in generators]
+    for picks in product([False, True], repeat=len(supports)):
+        total = frozenset()
+        for s, pick in zip(supports, picks):
+            if pick:
+                total ^= s
+        if total == goal:
+            return True
+    return False
+
+
+def random_class(rng, alphabet, max_degree=6):
+    # even, odd and negative coefficients; some terms cancel against a
+    # rotation of their word, which has the same class
+    total = FreePoly.zero(alphabet)
+    for _ in range(rng.randint(0, 4)):
+        w = tuple(rng.randrange(len(alphabet)) for _ in range(rng.randint(0, max_degree)))
+        c = rng.choice([-4, -3, -2, -1, 1, 2, 3, 4])
+        total = total + FreePoly.monomial(alphabet, w, c)
+        if rng.random() < 0.3:
+            k = rng.randint(0, len(w))
+            total = total - FreePoly.monomial(alphabet, w[k:] + w[:k], c)
+    return abelianize(total)
+
+
+def span_target(rng, alphabet, generators, degree_bound, kind):
+    """A zero target, a random class, or the sum of a subset of the
+    generators plus an even class and an odd term above the bound."""
+    if kind == "zero":
+        return AbelPoly.zero(alphabet)
+    if kind == "random":
+        return random_class(rng, alphabet)
+    total = 2 * random_class(rng, alphabet)
+    for g in generators:
+        if rng.random() < 0.5:
+            total = total + g
+    high = tuple(rng.randrange(len(alphabet)) for _ in range(degree_bound + 1 + rng.randint(0, 1)))
+    return total + abelianize(FreePoly.monomial(alphabet, high, rng.choice([-3, 1, 5])))
 
 
 def mono(ab, *letters, coeff=1):
@@ -261,6 +316,44 @@ class TestF2Span:
         gens = [abelianize(X), abelianize(Y), abelianize(X + Y)]
         # dependent set: third = first + second
         assert f2_span_membership(abelianize(X + Y), gens[:2], 4)
+
+
+class TestF2SpanOracle:
+    """f2_span_membership against brute force over every subset of at most
+    eight generators, over {X, Y} and {X, Y, Z} at degree bounds 0 to 5."""
+
+    ALPHABETS = (Alphabet(["X", "Y"]), Alphabet(["X", "Y", "Z"]))
+
+    def test_seeded_sweep(self):
+        rng = random.Random(1717)
+        verdicts = {True: 0, False: 0}
+        for case in range(600):
+            alphabet = self.ALPHABETS[case % 2]
+            bound = rng.randint(0, 5)
+            gens = [random_class(rng, alphabet) for _ in range(rng.randint(0, 8))]
+            kind = rng.choice(["zero", "random", "sum"])
+            target = span_target(rng, alphabet, gens, bound, kind)
+            verdict = f2_span_membership(target, gens, bound)
+            assert verdict == brute_f2_span_membership(target, gens, bound)
+            if kind != "random":
+                assert verdict
+            shuffled = gens[:]
+            rng.shuffle(shuffled)
+            assert f2_span_membership(target, shuffled, bound) == verdict
+            verdicts[verdict] += 1
+        # both verdicts occur often, so the oracle is not compared on one answer
+        assert min(verdicts.values()) >= 20
+
+    @pytest.mark.parametrize("bound", range(6))
+    def test_degree_bound_edge(self, bound):
+        for alphabet in self.ALPHABETS:
+            assert f2_span_membership(AbelPoly.zero(alphabet), [], bound)
+            # a term above the bound is ignored, one at the bound is not
+            above = abelianize(FreePoly.monomial(alphabet, (0,) * (bound + 1)))
+            at = abelianize(FreePoly.monomial(alphabet, (1,) * bound))
+            assert f2_span_membership(above, [], bound)
+            assert not f2_span_membership(at, [], bound)
+            assert f2_span_membership(2 * at - 4 * above, [], bound)
 
 
 class TestLemmaXYC:

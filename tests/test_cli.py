@@ -60,6 +60,14 @@ class TestRmapCommand:
         assert code == 1
         assert "error" in err
 
+    def test_degree_past_64_runs(self, capture):
+        # r_1 has degree 82 and r_2 degree 164, well inside the letter budget
+        code, out, _ = capture("rmap", "--level", "3", "X^40Y-YX^40")
+        assert code == 0
+        code, ghost, _ = capture("ghost", "--level", "3", "--", *out.strip("()").split(", "))
+        assert code == 0
+        assert ghost == "(0, 0, 0)"
+
 
 class TestAbelianizeCommand:
     def test_commutator(self, capture):
@@ -261,6 +269,23 @@ class TestUsageErrors:
     )
     def test_p2_only_checks_reject_other_p(self, capture, checks, named):
         code, out, err = capture("verify", *checks, "--p", "3")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:")
+        assert all(check_id in err for check_id in named)
+        assert "wagen" not in err
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["lemma-xyc", "--alphabet", "X,Y,Z"], ["lemma-xyc"]),
+            (["lemma-thelemma", "--alphabet", "X,Y,Z"], ["lemma-thelemma"]),
+            (["--all", "--alphabet", "T"], ["lemma-thelemma", "lemma-xyc"]),
+        ],
+    )
+    def test_two_generator_checks_reject_other_alphabets(self, capture, argv, named):
+        # refused before any check runs, so nothing is printed
+        code, out, err = capture("verify", *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("usage error:")

@@ -2,14 +2,15 @@
 AbelPoly share, the ring axioms of FreePoly, the canonical rotation
 against its brute-force oracle, format_word against its groupby oracle,
 the abelianization and its fast paths (trace powers and the word-power
-map on classes), H-membership against its reduce_mod definition, for the
-parser against FreePoly arithmetic, and for the Witt-tuple core that
+map on classes), H-membership against its reduce_mod definition, GF(2)
+span membership against brute force over subsets, for the parser
+against FreePoly arithmetic, and for the Witt-tuple core that
 coordinates, ghost vectors and componentwise lifts share."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_cdwitt import h_membership_by_reduce_mod
+from test_cdwitt import brute_f2_span_membership, h_membership_by_reduce_mod
 from test_cycquot import brute_least_rotation
 from test_freealg import groupby_format_word
 
@@ -27,6 +28,7 @@ from ncwitt import (
     WittContext,
     XVector,
     abelianize,
+    f2_span_membership,
     h_membership,
     least_rotation,
     parse_poly,
@@ -41,6 +43,7 @@ from ncwitt.freealg import format_word
 AB = Alphabet(["X", "Y"])
 MULTI = Alphabet(["Ab", "Cd", "E"])
 ONE = Alphabet(["T"])
+XYZ = Alphabet(["X", "Y", "Z"])
 
 words = st.lists(st.integers(0, 1), max_size=6).map(tuple)
 
@@ -373,3 +376,31 @@ def test_of_pads_with_the_entry_zero(ctx, f):
         assert all(type(e) is type(zero) and e == zero for e in padded.entries)
     head = CoordinateTuple.of(ctx, [f])
     assert head.entries == (f,) + (FreePoly.zero(AB),) * (ctx.n - 1)
+
+
+def span_classes(alphabet):
+    # words up to degree 6, above every bound drawn below; even, negative
+    # and cancelling coefficients (a word and its rotation share a class)
+    word = st.lists(st.integers(0, len(alphabet) - 1), max_size=6).map(tuple)
+    return st.dictionaries(word, st.integers(-4, 4), max_size=4).map(
+        lambda terms: abelianize(FreePoly(alphabet, terms))
+    )
+
+
+@st.composite
+def span_cases(draw):
+    alphabet = draw(st.sampled_from([AB, XYZ]))
+    generators = draw(st.lists(span_classes(alphabet), max_size=8))
+    picks = draw(st.lists(st.booleans(), min_size=len(generators), max_size=len(generators)))
+    summed = sum((g for g, pick in zip(generators, picks) if pick), AbelPoly.zero(alphabet))
+    target = draw(st.sampled_from([summed, AbelPoly.zero(alphabet)]) | span_classes(alphabet))
+    return target, generators, draw(st.integers(0, 5)), draw(st.permutations(range(len(generators))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_cases())
+def test_f2_span_membership_is_brute_force(case):
+    target, generators, bound, order = case
+    verdict = f2_span_membership(target, generators, bound)
+    assert verdict == brute_f2_span_membership(target, generators, bound)
+    assert f2_span_membership(target, [generators[i] for i in order], bound) == verdict

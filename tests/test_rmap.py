@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from ncwitt import (
@@ -5,7 +7,9 @@ from ncwitt import (
     CoordinateTuple,
     EpsilonNotCommutator,
     FreePoly,
+    LETTER_BUDGET,
     RResult,
+    ResourceLimit,
     WittContext,
     abelianize,
     check_ghost_vanishes,
@@ -20,7 +24,6 @@ from ncwitt import (
     witt_polynomial,
     x_abelianize,
 )
-from ncwitt.rmap import DegreeCapExceeded
 from ncwitt.verify import sample_commutator, sample_poly
 
 
@@ -40,8 +43,8 @@ def mutated_result(ab, X, Y):
 
 class TestRMap:
     def test_phi_class_on_level_five_coordinates(self, ab, X, Y):
-        # r_map subtracts phi_class of the previous step's class; the classes
-        # of r_3 and r_4 have keys of 16 and 32 letters
+        # phi_class on the classes of the level-5 recursion output; the
+        # classes of r_3 and r_4 have keys of 16 and 32 letters
         coords = r_map([commutator(X, Y)], WittContext(ab, 2, 5)).coords.entries
         classes = [abelianize(r) for r in coords]
         assert max(len(w) for w, _ in classes[4].terms()) == 32
@@ -98,10 +101,13 @@ class TestRMap:
         b = r_map([commutator(X, Y), commutator(Y, X * Y)], ctx)
         assert a.coords == b.coords
 
-    def test_degree_cap(self, ab, X, Y):
-        ctx = WittContext(ab, 2, 4)
-        with pytest.raises(DegreeCapExceeded):
-            r_map([commutator(X, Y)], ctx, degree_cap=8)
+    def test_letter_budget_refuses_long_steps(self, ab, X, Y):
+        # step 2 takes tr(r_0^4), and r_0 has degree 1,501: 6,004 letters
+        start = time.process_time()
+        with pytest.raises(ResourceLimit, match="6,004") as refusal:
+            r_map([commutator(X**1500, Y)], WittContext(ab, 2, 3))
+        assert time.process_time() - start < 1
+        assert f"{LETTER_BUDGET:,}" in str(refusal.value)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_pre_division_matches_expanded_recursion(self, ab, rng, p):
@@ -111,7 +117,7 @@ class TestRMap:
             n = 3 if p == 2 else 2
             ctx = WittContext(ab, p, n)
             eps = [sample_commutator(rng, ab) for _ in range(n)]
-            result = r_map(eps, ctx, degree_cap=128)
+            result = r_map(eps, ctx)
             for step in result.audit:
                 i = step.index
                 partial = CoordinateTuple.of(
@@ -144,7 +150,7 @@ class TestGhostVanishes:
             n = rng.randint(1, 3)
             ctx = WittContext(ab, 2, n)
             eps = [sample_commutator(rng, ab) for _ in range(n)]
-            assert check_ghost_vanishes(r_map(eps, ctx, degree_cap=128))
+            assert check_ghost_vanishes(r_map(eps, ctx))
 
     def test_mutated_result_fails(self, ab, X, Y):
         assert not check_ghost_vanishes(mutated_result(ab, X, Y))
