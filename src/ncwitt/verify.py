@@ -2,16 +2,17 @@
 through the command line.
 
 Every sweep draws from a seeded generator, so a run with the same seed is
-fully deterministic.  Each check returns whether it passed and its
-details; the table of checks below gives each one its id and description,
-and run_checks aggregates the results into a VerifyReport.
+fully deterministic.  Each check is a runner (alphabet, p, level, seed)
+-> (passed, details); the table of checks below gives each one its id,
+description, prime and number of generators, and run_checks aggregates
+the results into a VerifyReport.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .freealg import Alphabet, FreePoly, commutator
 from .cycquot import abelianize
@@ -109,85 +110,83 @@ class VerifyReport:
         return "\n".join(lines)
 
 
-def check_wagen(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> tuple[bool, str]:
+def _sweep(seed: int, cases: Iterable, case: Callable) -> tuple[bool, str]:
+    """Run case(rng, item) for each item of cases, all drawing from one
+    generator seeded with seed.  A case returns None when its identity
+    holds and a description of its input when it fails; the details count
+    the cases, or the failures and the first three failing inputs."""
+    rng = random.Random(seed)
+    outcomes = [case(rng, item) for item in cases]
+    failures = [f for f in outcomes if f is not None]
+    if failures:
+        return False, f"{len(failures)}/{len(outcomes)} failed: {failures[:3]}"
+    return True, f"{len(outcomes)} cases"
+
+
+def _factors(rng: random.Random, alphabet: Alphabet) -> list[FreePoly]:
+    return [sample_nonconstant_poly(rng, alphabet) for _ in range(rng.randint(1, 2))]
+
+
+def check_wagen(alphabet: Alphabet, p: int, level: int, seed: int) -> tuple[bool, str]:
     """Ghost of a coordinate tuple decomposes as a sum of shifted
     Teichmuller ghosts, for random coordinates at lengths up to 4."""
-    rng = random.Random(seed)
-    failures = []
-    for i in range(cases):
+
+    def case(rng, _):
         n = rng.randint(1, 4)
-        ctx = WittContext(alphabet, p, n)
-        coords = CoordinateTuple.of(
-            ctx, [sample_poly(rng, alphabet, 2, 2) for _ in range(n)]
-        )
-        if not check_wagen_decomposition(coords):
-            failures.append(str(coords))
-    return _tally(failures, cases)
+        entries = [sample_poly(rng, alphabet, 2, 2) for _ in range(n)]
+        coords = CoordinateTuple.of(WittContext(alphabet, p, n), entries)
+        return None if check_wagen_decomposition(coords) else str(coords)
+
+    return _sweep(seed, range(20), case)
 
 
-def check_bracket_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> tuple[bool, str]:
+def check_bracket_sweep(alphabet: Alphabet, p: int, level: int, seed: int) -> tuple[bool, str]:
     """Commutators of shifted Teichmuller products reduce to the single
-    generator formula, entrywise, for all m <= n_shift <= 2."""
-    rng = random.Random(seed)
-    failures = []
-    total = 0
-    for n_shift in range(3):
-        for m in range(n_shift + 1):
-            for _ in range(max(4, cases // 5)):
-                a_factors = [
-                    sample_nonconstant_poly(rng, alphabet) for _ in range(rng.randint(1, 2))
-                ]
-                b_factors = [
-                    sample_nonconstant_poly(rng, alphabet) for _ in range(rng.randint(1, 2))
-                ]
-                total += 1
-                if not check_bracket_identity(m, n_shift, a_factors, b_factors, level=3, p=p):
-                    failures.append(f"m={m}, n_shift={n_shift}")
-    return _tally(failures, total)
+    generator formula, entrywise, four cases for each m <= n_shift <= 2."""
+
+    def case(rng, shifts):
+        m, n_shift = shifts
+        a, b = _factors(rng, alphabet), _factors(rng, alphabet)
+        holds = check_bracket_identity(m, n_shift, a, b, level=3, p=p)
+        return None if holds else f"m={m}, n_shift={n_shift}"
+
+    schedule = [(m, n_shift) for n_shift in range(3) for m in range(n_shift + 1) for _ in range(4)]
+    return _sweep(seed, schedule, case)
 
 
-def check_phi_sweep(alphabet: Alphabet, seed: int, cases: int = 20) -> tuple[bool, str]:
-    """p-power congruence for the word-power map, at p in {2, 3}, k <= 2."""
-    rng = random.Random(seed)
-    failures = []
-    for i in range(cases):
+def check_phi_sweep(alphabet: Alphabet, p: int, level: int, seed: int) -> tuple[bool, str]:
+    """p-power congruence for the word-power map, at p in {2, 3}, k <= 2;
+    the sweep draws its own p."""
+
+    def case(rng, _):
         p = rng.choice([2, 3])
         k = rng.randint(1, 2)
         x = sample_poly(rng, alphabet, 2, 3)
-        if not check_lemma_phi(x, k, p):
-            failures.append(f"x={x}, k={k}, p={p}")
-    return _tally(failures, cases)
+        return None if check_lemma_phi(x, k, p) else f"x={x}, k={k}, p={p}"
+
+    return _sweep(seed, range(20), case)
 
 
-def check_thelemma_sweep(alphabet: Alphabet, seed: int, cases: int = 30) -> tuple[bool, str]:
+def check_thelemma_sweep(alphabet: Alphabet, p: int, level: int, seed: int) -> tuple[bool, str]:
     """Component 1 of every commutator generator lies in the obstruction
-    ideal H: all m <= n_shift <= 1 sampled, plus every m=n_shift=0 pair of
-    single words of degree 1 or 2."""
-    rng = random.Random(seed)
-    failures = []
-    total = 0
-    # exhaustive single-word pairs at m = n_shift = 0
-    words = [(i,) for i in range(2)] + [(i, j) for i in range(2) for j in range(2)]
-    for wa in words:
-        for wb in words:
-            total += 1
-            a = FreePoly.monomial(alphabet, wa)
-            b = FreePoly.monomial(alphabet, wb)
-            if not check_component1_in_H(0, 0, [a], [b]):
-                failures.append(f"a={a}, b={b}")
-    # seeded random sweep over all m <= n_shift <= 1
-    for i in range(cases):
+    ideal H: every m=n_shift=0 pair of single words of degree 1 or 2 first,
+    then 30 seeded draws over all m <= n_shift <= 1."""
+    words = [FreePoly.monomial(alphabet, w) for w in [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]]
+    pairs = [(a, b) for a in words for b in words]
+
+    def case(rng, pair):
+        if pair is not None:
+            a, b = pair
+            return None if check_component1_in_H(0, 0, [a], [b]) else f"a={a}, b={b}"
         n_shift = rng.randint(0, 1)
         m = rng.randint(0, n_shift)
-        a_factors = [sample_nonconstant_poly(rng, alphabet) for _ in range(rng.randint(1, 2))]
-        b_factors = [sample_nonconstant_poly(rng, alphabet) for _ in range(rng.randint(1, 2))]
-        total += 1
-        if not check_component1_in_H(m, n_shift, a_factors, b_factors):
-            failures.append(f"m={m}, n_shift={n_shift}")
-    return _tally(failures, total)
+        a, b = _factors(rng, alphabet), _factors(rng, alphabet)
+        return None if check_component1_in_H(m, n_shift, a, b) else f"m={m}, n_shift={n_shift}"
+
+    return _sweep(seed, pairs + [None] * 30, case)
 
 
-def check_xyc(alphabet: Alphabet) -> tuple[bool, str]:
+def check_xyc(alphabet: Alphabet, p: int, level: int, seed: int) -> tuple[bool, str]:
     """The class of X^2Y^2 is outside the GF(2) span of word squares in
     degrees <= 4, while the control targets XYXY and X^4 are inside."""
     generators = square_class_generators(alphabet)
@@ -203,39 +202,35 @@ def check_xyc(alphabet: Alphabet) -> tuple[bool, str]:
     return False, f"outside={outside}, control_xyxy={control1}, control_x4={control2}"
 
 
-def check_omegar0_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 10) -> tuple[bool, str]:
+def check_omegar0_sweep(alphabet: Alphabet, p: int, level: int, seed: int) -> tuple[bool, str]:
     """Ghost vanishing for the recursion output on random commutator
     tuples at lengths up to 3."""
-    rng = random.Random(seed)
-    failures = []
-    for i in range(cases):
+
+    def case(rng, _):
         n = rng.randint(1, 3)
-        ctx = WittContext(alphabet, p, n)
         eps = [sample_commutator(rng, alphabet) for _ in range(n)]
-        result = r_map(eps, ctx)
-        if not check_ghost_vanishes(result):
-            failures.append(str(result.coords))
-    return _tally(failures, cases)
+        result = r_map(eps, WittContext(alphabet, p, n))
+        return None if check_ghost_vanishes(result) else str(result.coords)
+
+    return _sweep(seed, range(10), case)
 
 
-def check_counterexample(level: int = 2) -> tuple[bool, str]:
+def check_counterexample(alphabet: Alphabet, p: int, level: int, seed: int) -> tuple[bool, str]:
+    """The p = 2 counterexample over {X, Y}, at level max(level, 2)."""
     report = counterexample_report(max(level, 2))
     return report.status == "PASS", str(report)
 
 
-def check_pin_sweep(alphabet: Alphabet, p: int, seed: int, cases: int = 20) -> tuple[bool, str]:
+def check_pin_sweep(alphabet: Alphabet, p: int, level: int, seed: int) -> tuple[bool, str]:
     """Abelianizing the Witt-polynomial lift recovers the ghost map."""
-    rng = random.Random(seed)
-    failures = []
-    for i in range(cases):
+
+    def case(rng, _):
         n = rng.randint(1, 3)
-        ctx = WittContext(alphabet, p, n)
-        coords = CoordinateTuple.of(
-            ctx, [sample_poly(rng, alphabet, 2, 2) for _ in range(n)]
-        )
-        if x_abelianize(omega_map(coords)) != ghost_map(coords):
-            failures.append(str(coords))
-    return _tally(failures, cases)
+        entries = [sample_poly(rng, alphabet, 2, 2) for _ in range(n)]
+        coords = CoordinateTuple.of(WittContext(alphabet, p, n), entries)
+        return None if x_abelianize(omega_map(coords)) == ghost_map(coords) else str(coords)
+
+    return _sweep(seed, range(20), case)
 
 
 def classical_witt_sum(x0, x1, y0, y1):
@@ -245,93 +240,64 @@ def classical_witt_sum(x0, x1, y0, y1):
     return x0 + y0, x1 + y1 - x0 * y0
 
 
-def check_commutative_sanity(seed: int, cases: int = 20) -> tuple[bool, str]:
-    """On a one-generator alphabet the ring is commutative; ghost addition
-    must agree with the classical Witt sum."""
-    alphabet = Alphabet(["T"])
-    ctx = WittContext(alphabet, 2, 2)
-    rng = random.Random(seed)
-    failures = []
-    for i in range(cases):
-        x0, x1, y0, y1 = (sample_poly(rng, alphabet, 2, 2) for _ in range(4))
+def check_commutative_sanity(alphabet: Alphabet, p: int, level: int, seed: int) -> tuple[bool, str]:
+    """On the one-generator alphabet {T} the ring is commutative; ghost
+    addition at p = 2 must agree with the classical Witt sum."""
+    t = Alphabet(["T"])
+    ctx = WittContext(t, 2, 2)
+
+    def case(rng, _):
+        x0, x1, y0, y1 = (sample_poly(rng, t, 2, 2) for _ in range(4))
         s0, s1 = classical_witt_sum(x0, x1, y0, y1)
-        lhs = ghost_map(CoordinateTuple.of(ctx, [x0, x1])) + ghost_map(
-            CoordinateTuple.of(ctx, [y0, y1])
-        )
-        rhs = ghost_map(CoordinateTuple.of(ctx, [s0, s1]))
-        if lhs != rhs:
-            failures.append(f"x=({x0},{x1}), y=({y0},{y1})")
-    return _tally(failures, cases)
+        gx, gy, gs = (ghost_map(CoordinateTuple.of(ctx, e)) for e in ([x0, x1], [y0, y1], [s0, s1]))
+        return None if gx + gy == gs else f"x=({x0},{x1}), y=({y0},{y1})"
+
+    return _sweep(seed, range(20), case)
 
 
-def _tally(failures: list, total: int) -> tuple[bool, str]:
-    if failures:
-        return False, f"{len(failures)}/{total} failed: {failures[:3]}"
-    return True, f"{total} cases"
-
-
-#: Every named check, in report order: its id, its description, a runner
-#: (alphabet, p, level, seed) -> (passed, details), whether the check
-#: exists only at p = 2, and whether it needs a two-generator alphabet.
-#: Four ignore p: the obstruction ideal H, the mod-2 square classes, the
-#: counterexample and the hand-solved classical Witt sum are formulated at
-#: p = 2 alone.  H and the square classes are formulated over {X, Y}; the
-#: counterexample and the classical sum fix their own alphabets.
-_CHECKS: dict[str, tuple[str, Callable[[Alphabet, int, int, int], tuple[bool, str]], bool, bool]] = {
-    "wagen": (
-        "ghost decomposition into shifted Teichmuller ghosts",
-        lambda alphabet, p, level, seed: check_wagen(alphabet, p, seed),
-        False,
-        False,
-    ),
+#: Every named check, in report order: its id, its description, its runner
+#: (alphabet, p, level, seed) -> (passed, details), the only prime it is
+#: formulated at and the number of generators it needs (None: any).  The
+#: obstruction ideal H, the mod-2 square classes, the counterexample and
+#: the hand-solved classical Witt sum are formulated at p = 2.  H, the
+#: square classes and the counterexample live on {X, Y}; the classical sum
+#: fixes its own alphabet {T}.
+_Runner = Callable[[Alphabet, int, int, int], tuple[bool, str]]
+_CHECKS: dict[str, tuple[str, _Runner, int | None, int | None]] = {
+    "wagen": ("ghost decomposition into shifted Teichmuller ghosts", check_wagen, None, None),
     "bracket-identity": (
         "commutator of shifted products equals the scaled shifted bracket",
-        lambda alphabet, p, level, seed: check_bracket_sweep(alphabet, p, seed),
-        False,
-        False,
+        check_bracket_sweep,
+        None,
+        None,
     ),
     "lemma-phi": (
         "x^(p^k) agrees with the word-power map of x^(p^(k-1)) mod p^k and brackets",
-        lambda alphabet, p, level, seed: check_phi_sweep(alphabet, seed),
-        False,
-        False,
+        check_phi_sweep,
+        None,
+        None,
     ),
     "lemma-thelemma": (
         "component 1 of commutator generators lies in the obstruction ideal",
-        lambda alphabet, p, level, seed: check_thelemma_sweep(alphabet, seed),
-        True,
-        True,
+        check_thelemma_sweep,
+        2,
+        2,
     ),
-    "lemma-xyc": (
-        "the class of X^2Y^2 is not a square mod 2 below degree 5",
-        lambda alphabet, p, level, seed: check_xyc(alphabet),
-        True,
-        True,
-    ),
-    "omegar0": (
-        "the recursion output ghost-maps to zero",
-        lambda alphabet, p, level, seed: check_omegar0_sweep(alphabet, p, seed),
-        False,
-        False,
-    ),
+    "lemma-xyc": ("the class of X^2Y^2 is not a square mod 2 below degree 5", check_xyc, 2, 2),
+    "omegar0": ("the recursion output ghost-maps to zero", check_omegar0_sweep, None, None),
     "counterexample": (
         "the component-1 obstruction defeats injectivity of the ghost analogue",
-        lambda alphabet, p, level, seed: check_counterexample(level),
-        True,
-        False,
+        check_counterexample,
+        2,
+        2,
     ),
     "commutative-sanity": (
         "ghost addition agrees with classical Witt addition on one generator",
-        lambda alphabet, p, level, seed: check_commutative_sanity(seed),
-        True,
-        False,
+        check_commutative_sanity,
+        2,
+        None,
     ),
-    "pin": (
-        "abelianized Witt-polynomial lift equals the ghost map",
-        lambda alphabet, p, level, seed: check_pin_sweep(alphabet, p, seed),
-        False,
-        False,
-    ),
+    "pin": ("abelianized Witt-polynomial lift equals the ghost map", check_pin_sweep, None, None),
 }
 
 CHECK_IDS = tuple(_CHECKS)
@@ -344,11 +310,11 @@ class UnknownCheck(ValueError):
 
 
 class PrimeNotSupported(ValueError):
-    """Some selected checks exist only at p = 2, and another p was asked for."""
+    """Some selected checks are formulated at one prime, and another p was asked for."""
 
 
 class AlphabetNotSupported(ValueError):
-    """Some selected checks need a two-generator alphabet, and another was given."""
+    """Some selected checks need a number of generators the alphabet does not have."""
 
 
 def run_checks(
@@ -361,28 +327,26 @@ def run_checks(
     """Run the named checks and aggregate a report.  Results follow the
     order of the check table, independent of the order of the selection.
     Raises UnknownCheck on an id outside the table, PrimeNotSupported if
-    p != 2 and the selection holds a check that exists only at p = 2, and
-    AlphabetNotSupported if the alphabet has other than two generators and
-    the selection holds a check that needs two, all before running
-    anything."""
+    the selection holds a check whose prime is not p, and
+    AlphabetNotSupported if it holds a check whose number of generators is
+    not the alphabet's, all before running anything.  Every prime and every
+    number of generators in the table is 2, and the messages say so."""
     if alphabet is None:
         alphabet = Alphabet(["X", "Y"])
     unknown = [s for s in selection if s not in CHECK_IDS]
     if unknown:
         raise UnknownCheck(f"unknown check ids: {unknown}; valid ids: {list(CHECK_IDS)}")
-    p2_only = [c for c, (_, _, only_p2, _) in _CHECKS.items() if only_p2 and c in selection]
-    if p != 2 and p2_only:
-        raise PrimeNotSupported(f"checks {p2_only} exist only at p = 2, not at p = {p}")
-    two_only = [c for c, (*_, only_two) in _CHECKS.items() if only_two and c in selection]
-    if len(alphabet) != 2 and two_only:
+    chosen = [(c, row) for c, row in _CHECKS.items() if c in selection]
+    off_p = [c for c, (_, _, prime, _) in chosen if prime not in (None, p)]
+    if off_p:
+        raise PrimeNotSupported(f"checks {off_p} exist only at p = 2, not at p = {p}")
+    off_size = [c for c, (*_, letters) in chosen if letters not in (None, len(alphabet))]
+    if off_size:
         names = ",".join(alphabet.names)
-        raise AlphabetNotSupported(f"checks {two_only} need a two-generator alphabet, not {names}")
+        raise AlphabetNotSupported(f"checks {off_size} need a two-generator alphabet, not {names}")
 
     results = []
-    for check_id, (description, runner, *_) in _CHECKS.items():
-        if check_id in selection:
-            passed, details = runner(alphabet, p, level, seed)
-            results.append(
-                CheckResult(check_id, description, "pass" if passed else "fail", details)
-            )
+    for check_id, (description, runner, *_) in chosen:
+        passed, details = runner(alphabet, p, level, seed)
+        results.append(CheckResult(check_id, description, "pass" if passed else "fail", details))
     return VerifyReport(tuple(results))

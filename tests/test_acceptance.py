@@ -1,5 +1,12 @@
 """Acceptance suite: one test per criterion, exact equality throughout,
-each printing a pass/fail line and enforcing its runtime budget."""
+each printing a pass/fail line and enforcing its runtime budget.
+
+Criteria 3, 5 and 7 draw exactly what the checks bracket-identity,
+lemma-thelemma and omegar0 draw at SEED, so they run those checks through
+run_checks instead of repeating their sweeps.  Criteria 4, 6, 8 and 9 keep
+their own loops: they draw other inputs than the matching checks (up to
+three terms per sampled polynomial where the checks draw two, or another
+draw order and an extra commutator loop)."""
 
 import random
 import time
@@ -11,9 +18,7 @@ from ncwitt import (
     CoordinateTuple,
     FreePoly,
     WittContext,
-    check_bracket_identity,
     check_component1_in_H,
-    check_ghost_vanishes,
     check_lemma_phi,
     check_lemma_xyc,
     check_wagen_decomposition,
@@ -25,12 +30,7 @@ from ncwitt import (
     r_map,
 )
 from ncwitt.cdwitt import square_class_generators
-from ncwitt.verify import (
-    classical_witt_sum,
-    sample_commutator,
-    sample_nonconstant_poly,
-    sample_poly,
-)
+from ncwitt.verify import classical_witt_sum, run_checks, sample_commutator, sample_poly
 
 SEED = 20230817
 
@@ -90,16 +90,10 @@ def test_criterion_2_square_span_obstruction(ab):
 
 def test_criterion_3_bracket_identity_sweep(ab):
     with Budget("criterion 3: bracket identity sweep", 10.0):
-        rng = random.Random(SEED)
-        cases = 0
-        for n_shift in range(3):
-            for m in range(n_shift + 1):
-                for _ in range(4):
-                    a = [sample_nonconstant_poly(rng, ab) for _ in range(rng.randint(1, 2))]
-                    b = [sample_nonconstant_poly(rng, ab) for _ in range(rng.randint(1, 2))]
-                    assert check_bracket_identity(m, n_shift, a, b, level=3, p=2)
-                    cases += 1
-        assert cases >= 20
+        # four cases for each m <= n_shift <= 2, at level 3
+        (result,) = run_checks(["bracket-identity"], alphabet=ab, p=2, seed=SEED).checks
+        assert result.passed
+        assert result.details == "24 cases"
 
 
 def test_criterion_4_ghost_decomposition_sweep(ab):
@@ -114,19 +108,11 @@ def test_criterion_4_ghost_decomposition_sweep(ab):
 
 def test_criterion_5_component1_obstruction_sweep(ab):
     with Budget("criterion 5: component-1 obstruction sweep", 10.0):
-        rng = random.Random(SEED)
-        # exhaustive m = n_shift = 0 over single words of degree 1..2
-        words = [(i,) for i in range(2)] + [(i, j) for i in range(2) for j in range(2)]
-        for wa in words:
-            for wb in words:
-                assert check_component1_in_H(0, 0, [mono(ab, *wa)], [mono(ab, *wb)])
-        # seeded sweep over all m <= n_shift <= 1
-        for _ in range(30):
-            n_shift = rng.randint(0, 1)
-            m = rng.randint(0, n_shift)
-            a = [sample_nonconstant_poly(rng, ab) for _ in range(rng.randint(1, 2))]
-            b = [sample_nonconstant_poly(rng, ab) for _ in range(rng.randint(1, 2))]
-            assert check_component1_in_H(m, n_shift, a, b)
+        # the 36 m = n_shift = 0 pairs of single words of degree 1..2, then
+        # 30 seeded draws over all m <= n_shift <= 1
+        (result,) = run_checks(["lemma-thelemma"], alphabet=ab, p=2, seed=SEED).checks
+        assert result.passed
+        assert result.details == "66 cases"
 
 
 def test_criterion_6_power_congruence_sweep(ab):
@@ -147,12 +133,10 @@ def test_criterion_6_power_congruence_sweep(ab):
 
 def test_criterion_7_ghost_vanishing_sweep(ab):
     with Budget("criterion 7: recursion ghost-vanishing sweep", 30.0):
-        rng = random.Random(SEED)
-        for _ in range(10):
-            n = rng.randint(1, 3)
-            ctx = WittContext(ab, 2, n)
-            eps = [sample_commutator(rng, ab) for _ in range(n)]
-            assert check_ghost_vanishes(r_map(eps, ctx))
+        # ten seeded commutator tuples at lengths up to 3
+        (result,) = run_checks(["omegar0"], alphabet=ab, p=2, seed=SEED).checks
+        assert result.passed
+        assert result.details == "10 cases"
 
 
 def test_criterion_8_abelianized_lift_diagram(ab):

@@ -280,7 +280,11 @@ class TestUsageErrors:
         [
             (["lemma-xyc", "--alphabet", "X,Y,Z"], ["lemma-xyc"]),
             (["lemma-thelemma", "--alphabet", "X,Y,Z"], ["lemma-thelemma"]),
-            (["--all", "--alphabet", "T"], ["lemma-thelemma", "lemma-xyc"]),
+            (["--all", "--alphabet", "T"], ["lemma-thelemma", "lemma-xyc", "counterexample"]),
+            (
+                ["counterexample", "commutative-sanity", "--alphabet", "A,B,C"],
+                ["counterexample"],
+            ),
         ],
     )
     def test_two_generator_checks_reject_other_alphabets(self, capture, argv, named):
