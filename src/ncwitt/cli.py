@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: ghost, omega, rmap, abelianize, hmember, verify.
+Subcommands: ghost, omega, rmap, abelianize, hmember, verify.  Each takes
+only the flags it reads, so any other flag is a usage error.
 Exit codes: 0 success, 1 check/computation failure (a computation refused
 by the resource guard included), 2 usage error.
 """
@@ -22,14 +23,25 @@ from .verify import (
     CHECK_IDS, DEFAULT_SEED, AlphabetNotSupported, PrimeNotSupported, UnknownCheck, run_checks
 )
 
+#: The coordinate-tuple commands, each a map of (polynomials, context)
+_TUPLE_MAPS = {
+    "ghost": lambda polys, ctx: ghost_map(CoordinateTuple.of(ctx, polys)),
+    "omega": lambda polys, ctx: omega_map(CoordinateTuple.of(ctx, polys)),
+    "rmap": lambda polys, ctx: r_map(polys, ctx).coords,
+}
+
 
 class UsageError(ValueError):
     pass
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--p", type=int, default=2, help="prime (default 2)")
-    sub.add_argument("--level", type=int, default=2, help="truncation level (default 2)")
+def _add_flags(
+    sub: argparse.ArgumentParser, witt: bool, level_help: str = "truncation level (default 2)"
+) -> None:
+    """--p and --level if `witt`, then --alphabet and --format."""
+    if witt:
+        sub.add_argument("--p", type=int, default=2, help="prime (default 2)")
+        sub.add_argument("--level", type=int, default=2, help=level_help)
     sub.add_argument(
         "--alphabet",
         default="X,Y",
@@ -37,9 +49,6 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--format", choices=["text", "json"], default="text", help="output format"
-    )
-    sub.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for randomized sweeps"
     )
 
 
@@ -52,28 +61,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ghost = sub.add_parser("ghost", help="ghost map of a coordinate tuple")
     p_ghost.add_argument("coords", nargs="+", help="coordinate polynomials")
-    _add_common_flags(p_ghost)
+    _add_flags(p_ghost, witt=True)
 
     p_omega = sub.add_parser("omega", help="Witt-polynomial lift of a coordinate tuple")
     p_omega.add_argument("coords", nargs="+", help="coordinate polynomials")
-    _add_common_flags(p_omega)
+    _add_flags(p_omega, witt=True)
 
     p_rmap = sub.add_parser("rmap", help="ghost-vanishing recursion on commutator inputs")
-    p_rmap.add_argument("epsilons", nargs="+", help="commutator polynomials")
-    _add_common_flags(p_rmap)
+    p_rmap.add_argument("coords", nargs="+", metavar="epsilons", help="commutator polynomials")
+    _add_flags(p_rmap, witt=True)
 
     p_abel = sub.add_parser("abelianize", help="project onto circular-word classes")
     p_abel.add_argument("poly", help="polynomial expression")
-    _add_common_flags(p_abel)
+    _add_flags(p_abel, witt=False)
 
     p_hmem = sub.add_parser("hmember", help="obstruction-ideal membership (p=2, two generators)")
     p_hmem.add_argument("poly", help="polynomial expression")
-    _add_common_flags(p_hmem)
+    _add_flags(p_hmem, witt=False)
 
     p_verify = sub.add_parser("verify", help="run named verification checks")
     p_verify.add_argument("checks", nargs="*", help=f"check ids among {', '.join(CHECK_IDS)}")
     p_verify.add_argument("--all", action="store_true", help="run every check")
-    _add_common_flags(p_verify)
+    level_help = "level of counterexample, the only check that reads it (default 2)"
+    _add_flags(p_verify, witt=True, level_help=level_help)
+    p_verify.add_argument(
+        "--seed", type=int, default=DEFAULT_SEED, help="seed for randomized sweeps"
+    )
 
     return parser
 
@@ -110,12 +123,9 @@ def _emit(args, result, text: str, key: str = "result") -> None:
 
 
 def _params(args) -> dict:
-    return {
-        "p": args.p,
-        "level": args.level,
-        "alphabet": args.alphabet,
-        "seed": args.seed,
-    }
+    """The command's own values among p, level, alphabet and seed, in that order."""
+    values = vars(args)
+    return {name: values[name] for name in ("p", "level", "alphabet", "seed") if name in values}
 
 
 def run(argv=None) -> int:
@@ -126,48 +136,9 @@ def run(argv=None) -> int:
         # argparse exits 2 on a usage error and 0 after --help
         return exc.code
     try:
-        _check_flags(args)
+        if "p" in vars(args):
+            _check_flags(args)
         alphabet = _alphabet(args)
-
-        if args.command == "ghost":
-            ctx = WittContext(alphabet, args.p, args.level)
-            if len(args.coords) > ctx.n:
-                raise UsageError(f"expected at most {ctx.n} coordinates")
-            coords = CoordinateTuple.of(ctx, [parse_poly(t, alphabet) for t in args.coords])
-            text = str(ghost_map(coords))
-            _emit(args, text, text)
-            return 0
-
-        if args.command == "omega":
-            # the lift has level+1 entries, indices 0..level
-            ctx = WittContext(alphabet, args.p, args.level + 1)
-            if len(args.coords) > ctx.n:
-                raise UsageError(f"expected at most {ctx.n} coordinates")
-            coords = CoordinateTuple.of(ctx, [parse_poly(t, alphabet) for t in args.coords])
-            text = str(omega_map(coords))
-            _emit(args, text, text)
-            return 0
-
-        if args.command == "rmap":
-            ctx = WittContext(alphabet, args.p, args.level)
-            if len(args.epsilons) > ctx.n:
-                raise UsageError(f"expected at most {ctx.n} epsilons")
-            eps = [parse_poly(t, alphabet) for t in args.epsilons]
-            text = str(r_map(eps, ctx).coords)
-            _emit(args, text, text)
-            return 0
-
-        if args.command == "abelianize":
-            text = str(abelianize(parse_poly(args.poly, alphabet)))
-            _emit(args, text, text)
-            return 0
-
-        if args.command == "hmember":
-            if len(alphabet) != 2:
-                raise UsageError("H is defined only over a two-generator alphabet")
-            member = h_membership(parse_poly(args.poly, alphabet))
-            _emit(args, member, "true" if member else "false")
-            return 0
 
         if args.command == "verify":
             selection = list(CHECK_IDS) if args.all or not args.checks else args.checks
@@ -177,7 +148,26 @@ def run(argv=None) -> int:
             _emit(args, report.as_dict(), str(report), key="report")
             return 0 if report.passed else 1
 
-        raise UsageError(f"unknown command {args.command!r}")
+        if args.command == "hmember":
+            if len(alphabet) != 2:
+                raise UsageError("H is defined only over a two-generator alphabet")
+            member = h_membership(parse_poly(args.poly, alphabet))
+            _emit(args, member, "true" if member else "false")
+            return 0
+
+        if args.command == "abelianize":
+            text = str(abelianize(parse_poly(args.poly, alphabet)))
+        else:
+            # a coordinate-tuple command; omega's lift has level+1 entries, 0..level
+            level = args.level + 1 if args.command == "omega" else args.level
+            ctx = WittContext(alphabet, args.p, level)
+            if len(args.coords) > ctx.n:
+                noun = "epsilons" if args.command == "rmap" else "coordinates"
+                raise UsageError(f"expected at most {ctx.n} {noun}")
+            polys = [parse_poly(t, alphabet) for t in args.coords]
+            text = str(_TUPLE_MAPS[args.command](polys, ctx))
+        _emit(args, text, text)
+        return 0
 
     except (
         UsageError,

@@ -18,7 +18,7 @@ counterexample this module replays.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Sequence
 
 from .freealg import Alphabet, FreePoly, commutator, phi_map
@@ -104,22 +104,12 @@ class ReportStep:
     output: str
     status: str  # "pass" or "fail"
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class CounterexampleReport:
     level: int
     steps: tuple[ReportStep, ...]
     status: str  # "PASS" or "FAILED"
-
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "status": self.status,
-            "steps": [s.as_dict() for s in self.steps],
-        }
 
     def __str__(self) -> str:
         lines = [f"counterexample report (level {self.level}): {self.status}"]

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -8,9 +10,10 @@ from pathlib import Path
 import pytest
 
 from ncwitt import AbelPoly, Alphabet, abelianize, parse_poly
-from ncwitt.cli import run
+from ncwitt.cli import build_parser, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 @pytest.fixture
@@ -21,6 +24,36 @@ def capture(capsys):
         return code, captured.out.strip(), captured.err.strip()
 
     return invoke
+
+
+#: The flags each command reads
+FLAGS = {
+    "ghost": ("--p", "--level", "--alphabet", "--format"),
+    "omega": ("--p", "--level", "--alphabet", "--format"),
+    "rmap": ("--p", "--level", "--alphabet", "--format"),
+    "abelianize": ("--alphabet", "--format"),
+    "hmember": ("--alphabet", "--format"),
+    "verify": ("--all", "--p", "--level", "--alphabet", "--format", "--seed"),
+}
+#: A value each flag accepts, None for a switch
+FLAG_VALUES = {
+    "--all": None,
+    "--p": "2",
+    "--level": "2",
+    "--alphabet": "X,Y",
+    "--format": "text",
+    "--seed": "1",
+}
+#: A positional argument each command accepts
+POSITIONAL = {
+    "ghost": "X", "omega": "X", "rmap": "XY-YX", "abelianize": "X", "hmember": "XYXY",
+    "verify": "lemma-xyc",
+}
+
+
+def flag_argv(command: str, flag: str) -> list[str]:
+    value = FLAG_VALUES[flag]
+    return [command, flag, *([] if value is None else [value]), POSITIONAL[command]]
 
 
 class TestGhostCommand:
@@ -91,6 +124,13 @@ class TestHmemberCommand:
         code, out, _ = capture("hmember", "XYXY")
         assert code == 0
         assert out == "false"
+
+    def test_p_is_a_usage_error(self, capture):
+        # H is the paper's ideal at p = 2; hmember takes no --p to ignore
+        code, out, err = capture("hmember", "--p", "3", "XYXY")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --p" in err
 
 
 class TestVerifyCommand:
@@ -308,6 +348,58 @@ class TestUsageErrors:
         assert "usage:" in out
 
 
+class TestFlagsPerCommand:
+    """Each command takes only the flags it reads, so a flag it would
+    ignore is an argparse usage error."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [(c, f) for c, flags in FLAGS.items() for f in FLAG_VALUES if f not in flags],
+    )
+    def test_unread_flag_is_refused(self, capture, command, flag):
+        code, out, err = capture(*flag_argv(command, flag))
+        assert code == 2
+        assert out == ""
+        assert f"unrecognized arguments: {flag}" in err
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c, flags in FLAGS.items() for f in flags])
+    def test_read_flag_is_accepted(self, capture, command, flag):
+        code, _, _ = capture(*flag_argv(command, flag))
+        assert code == 0
+
+    def test_verify_takes_all_five_flags(self, capture):
+        code, out, _ = capture(
+            "verify", "lemma-xyc", "--p", "2", "--level", "3", "--alphabet", "X,Y",
+            "--format", "json", "--seed", "5",
+        )
+        assert code == 0
+        assert json.loads(out)["params"] == {"p": 2, "level": 3, "alphabet": "X,Y", "seed": 5}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    (action,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def command_line_section() -> str:
+    text = README.read_text()
+    start = text.index("## Command line")
+    return text[start : text.index("\n## ", start)]
+
+
+@pytest.mark.parametrize("command", list(subparsers()))
+def test_readme_lists_every_flag(command):
+    # the README's row for the command lists exactly its flags, and the
+    # section names every option string, --help included
+    options = [o for a in subparsers()[command]._actions for o in a.option_strings]
+    section = command_line_section()
+    assert [o for o in options if f"`{o}`" not in section] == []
+    rows = [line.split("|") for line in section.splitlines() if line.startswith("|")]
+    (row,) = [cells for cells in rows if f"`{command}`" in cells[1]]
+    listed = re.findall(r"`(-[\w-]+)`", row[2])
+    assert sorted(listed) == sorted(set(options) - {"-h", "--help"})
+
+
 class TestFormatOnce:
     """Each result is formatted once and the text serves both --format
     values: a long result's text costs as much as reading its input."""
@@ -333,12 +425,25 @@ class TestFormatOnce:
 
 
 class TestJsonSchema:
-    def test_compute_schema(self, capture):
-        code, out, _ = capture("ghost", "--format", "json", "X")
+    @pytest.mark.parametrize(
+        "command, params",
+        [
+            ("ghost", ["p", "level", "alphabet"]),
+            ("omega", ["p", "level", "alphabet"]),
+            ("rmap", ["p", "level", "alphabet"]),
+            ("abelianize", ["alphabet"]),
+            ("hmember", ["alphabet"]),
+            ("verify", ["p", "level", "alphabet", "seed"]),
+        ],
+    )
+    def test_compute_schema(self, capture, command, params):
+        # params holds the command's own flags but --format and --all
+        code, out, _ = capture(command, "--format", "json", POSITIONAL[command])
         assert code == 0
         payload = json.loads(out)
-        assert set(payload) == {"command", "params", "result"}
-        assert set(payload["params"]) == {"p", "level", "alphabet", "seed"}
+        key = "report" if command == "verify" else "result"
+        assert list(payload) == ["command", "params", key]
+        assert list(payload["params"]) == params
 
     def test_custom_alphabet(self, capture):
         code, out, _ = capture("abelianize", "--alphabet", "A,B", "AB - BA")

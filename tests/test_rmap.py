@@ -225,13 +225,3 @@ class TestCounterexampleReport:
         assert report.status == "FAILED"
         step = next(s for s in report.steps if s.name == "ghost_vanishes")
         assert step.status == "fail"
-
-    def test_report_serializes(self):
-        d = counterexample_report(2).as_dict()
-        assert d["status"] == "PASS"
-        assert {s["name"] for s in d["steps"]} == {
-            "r_map",
-            "ghost_vanishes",
-            "omega_entry1",
-            "obstruction_membership",
-        }
