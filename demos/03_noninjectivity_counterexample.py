@@ -30,11 +30,11 @@ ctx = WittContext(ab, 2, 2)
 eps = commutator(X, Y)
 print("input commutator:", eps)
 
-result = r_map([eps], ctx)
-print("recursion output:", result.coords)
-print("ghost image:     ", ghost_map(result.coords))
+coords = r_map([eps], ctx)
+print("recursion output:", coords)
+print("ghost image:     ", ghost_map(coords))
 
-lifted = omega_map(result.coords)
+lifted = omega_map(coords)
 print("lift, entry 1:   ", lifted.entries[1])
 print("in obstruction ideal H?", h_membership(lifted.entries[1]))
 

@@ -20,7 +20,6 @@ from .cycquot import (
     in_commutator_subgroup,
     least_rotation,
     necklace_count,
-    phi_class,
     sigma0,
     trace_power,
 )
@@ -50,8 +49,6 @@ from .cdwitt import (
 from .rmap import (
     CounterexampleReport,
     EpsilonNotCommutator,
-    RResult,
-    check_ghost_vanishes,
     check_lemma_phi,
     counterexample_report,
     r_map,

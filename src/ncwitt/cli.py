@@ -27,7 +27,7 @@ from .verify import (
 _TUPLE_MAPS = {
     "ghost": lambda polys, ctx: ghost_map(CoordinateTuple.of(ctx, polys)),
     "omega": lambda polys, ctx: omega_map(CoordinateTuple.of(ctx, polys)),
-    "rmap": lambda polys, ctx: r_map(polys, ctx).coords,
+    "rmap": r_map,
 }
 
 
@@ -106,8 +106,9 @@ def _check_flags(args) -> None:
         check_prime(args.p)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # omega's level is the index of its last entry, so 0 is a one-entry lift
-    min_level = 0 if args.command == "omega" else 1
+    # omega's level is the index of its last entry, so 0 is a one-entry lift;
+    # verify's level is the counterexample's, which needs two entries
+    min_level = {"omega": 0, "verify": 2}.get(args.command, 1)
     if args.level < min_level:
         raise UsageError(f"--level must be at least {min_level}, got {args.level}")
 

@@ -110,15 +110,6 @@ def abelianize(f: FreePoly) -> AbelPoly:
     return AbelPoly._from_terms(f.alphabet, terms)
 
 
-def phi_class(alpha: AbelPoly, p: int) -> AbelPoly:
-    """The word-power map on classes, sending the class of w to the class
-    of w^p: phi_class(abelianize(f), p) == abelianize(phi_map(f, p)),
-    because least_rotation(w^p) == least_rotation(w)^p."""
-    if p < 2:
-        raise ValueError("p must be at least 2")
-    return AbelPoly._from_terms(alpha.alphabet, {w * p: c for w, c in alpha._terms.items()})
-
-
 def necklace_count(k: int, n: int) -> int:
     """N(k, n) = (1/n) sum_{d | n} phi(d) k^{n/d}, the number of necklaces
     of length n >= 1 over k letters; summed here as (1/n) sum_i k^gcd(i, n)."""

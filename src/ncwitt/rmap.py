@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .freealg import Alphabet, FreePoly, commutator, phi_map
-from .cycquot import AbelPoly, abelianize, divide_exact, in_commutator_subgroup, sigma0
+from .cycquot import abelianize, divide_exact, in_commutator_subgroup, sigma0
 from .ghost import CoordinateTuple, WittContext, ghost_map, witt_class, witt_polynomial
 from .cdwitt import h_membership
 
@@ -32,24 +32,9 @@ class EpsilonNotCommutator(ValueError):
     guarantee presumes commutator inputs."""
 
 
-@dataclass(frozen=True)
-class RStep:
-    """Audit record for one recursion step: the class of
-    w_i(r_0, ..., r_{i-1}, 0) that was divided, and the divisor p^i."""
-
-    index: int
-    pre_division: AbelPoly
-    divisor: int
-
-
-@dataclass(frozen=True)
-class RResult:
-    coords: CoordinateTuple
-    audit: tuple[RStep, ...]
-
-
-def r_map(epsilons: Sequence[FreePoly], ctx: WittContext) -> RResult:
-    """Run the recursion on a tuple of commutator polynomials.
+def r_map(epsilons: Sequence[FreePoly], ctx: WittContext) -> CoordinateTuple:
+    """Run the recursion on a tuple of commutator polynomials and return
+    the coordinate tuple (r_0, ..., r_{n-1}).
 
     Raises EpsilonNotCommutator on invalid input, NotDivisible if a
     division step fails (an internal-consistency violation), and
@@ -63,18 +48,10 @@ def r_map(epsilons: Sequence[FreePoly], ctx: WittContext) -> RResult:
 
     p = ctx.p
     rs: list[FreePoly] = [epsilons[0]]
-    audit: list[RStep] = []
     for i in range(1, ctx.n):
         diff = witt_class(i, rs, p)  # the class of w_i(r_0, ..., r_{i-1}, 0)
-        divisor = p**i
-        audit.append(RStep(i, diff, divisor))
-        rs.append(epsilons[i] - sigma0(divide_exact(diff, divisor)))
-    return RResult(CoordinateTuple.of(ctx, rs), tuple(audit))
-
-
-def check_ghost_vanishes(result: RResult) -> bool:
-    """The defining property of the recursion output: its ghost is zero."""
-    return ghost_map(result.coords).is_zero()
+        rs.append(epsilons[i] - sigma0(divide_exact(diff, p**i)))
+    return CoordinateTuple.of(ctx, rs)
 
 
 def check_lemma_phi(x: FreePoly, k: int, p: int) -> bool:
@@ -138,19 +115,19 @@ def counterexample_report(n: int = 2) -> CounterexampleReport:
     steps: list[ReportStep] = []
     ok = True
 
-    result = r_map([eps0], ctx)
-    coords_text = str(result.coords)
+    coords = r_map([eps0], ctx)
+    coords_text = str(coords)
     steps.append(ReportStep("r_map", f"({eps0}, 0, ...)", coords_text, "pass"))
 
-    # recomputed from the coordinates alone, never from r_map's audit
-    ghost = ghost_map(result.coords)
+    # recomputed from the coordinates alone, never from r_map's classes
+    ghost = ghost_map(coords)
     vanishes = ghost.is_zero()
     steps.append(
         ReportStep("ghost_vanishes", coords_text, str(ghost), "pass" if vanishes else "fail")
     )
     ok &= vanishes
 
-    entry1 = witt_polynomial(1, result.coords)
+    entry1 = witt_polynomial(1, coords)
     expected = (
         -FreePoly.monomial(alphabet, (0, 1, 0, 1))
         + FreePoly.monomial(alphabet, (1, 0, 1, 0))

@@ -62,8 +62,8 @@ class Budget:
 def test_criterion_1_counterexample_reproduction(ab, X, Y):
     with Budget("criterion 1: counterexample reproduction", 1.0):
         ctx = WittContext(ab, 2, 2)
-        result = r_map([commutator(X, Y)], ctx)
-        r0, r1 = result.coords.entries
+        coords = r_map([commutator(X, Y)], ctx)
+        r0, r1 = coords.entries
         assert r1 == -mono(ab, 0, 1, 0, 1) + mono(ab, 0, 0, 1, 1)
         omega1 = r0**2 + 2 * r1
         assert omega1 == (
@@ -73,9 +73,9 @@ def test_criterion_1_counterexample_reproduction(ab, X, Y):
             - mono(ab, 1, 0, 0, 1)
             + 2 * mono(ab, 0, 0, 1, 1)
         )
-        assert omega_map(result.coords).entries[1] == omega1
+        assert omega_map(coords).entries[1] == omega1
         assert h_membership(omega1) is False
-        assert ghost_map(result.coords).is_zero()
+        assert ghost_map(coords).is_zero()
 
 
 def test_criterion_2_square_span_obstruction(ab):
@@ -170,9 +170,9 @@ def test_criterion_10_nonexistence_core(ab, X, Y):
     # cores exercised in criteria 1, 2, and 5; re-run them jointly
     with Budget("criterion 10: non-existence computational core", 15.0):
         ctx = WittContext(ab, 2, 2)
-        result = r_map([commutator(X, Y)], ctx)
-        omega1 = omega_map(result.coords).entries[1]
-        assert ghost_map(result.coords).is_zero()
+        coords = r_map([commutator(X, Y)], ctx)
+        omega1 = omega_map(coords).entries[1]
+        assert ghost_map(coords).is_zero()
         assert not h_membership(omega1)
         assert check_lemma_xyc(ab)
         assert check_component1_in_H(0, 0, [X], [Y])

@@ -281,6 +281,13 @@ class TestUsageErrors:
         assert code == 2
         assert err.startswith("usage error:")
 
+    @pytest.mark.parametrize("selection", ["counterexample", "--all"])
+    def test_verify_level_below_two(self, capture, selection):
+        # verify's level is the counterexample's, which needs two entries
+        code, out, err = capture("verify", selection, "--level", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:")
+
     def test_omega_level_zero_is_valid(self, capture):
         # omega's level is the index of its last entry
         code, out, _ = capture("omega", "--level", "0", "X")

@@ -51,4 +51,4 @@ def test_rmap_l5_coordinates_parse_back_exactly():
     parsed = tuple(parse_poly(text, ab) for text in texts)
     assert [str(f) for f in parsed] == texts
     assert [len(f) for f in parsed] == [2, 2, 5, 35, 4115]
-    assert parsed == r_map([parse_poly("XY-YX", ab)], WittContext(ab, 2, 5)).coords.entries
+    assert parsed == r_map([parse_poly("XY-YX", ab)], WittContext(ab, 2, 5)).entries

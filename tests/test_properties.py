@@ -1,8 +1,7 @@
 """Property tests for the sparse-combination arithmetic that FreePoly and
 AbelPoly share, the ring axioms of FreePoly, the canonical rotation
 against its brute-force oracle, format_word against its groupby oracle,
-the abelianization and its fast paths (trace powers and the word-power
-map on classes), H-membership against its reduce_mod definition, GF(2)
+the abelianization and its fast path (trace powers), H-membership against its reduce_mod definition, GF(2)
 span membership against brute force over subsets, for the parser
 against FreePoly arithmetic, and for the Witt-tuple core that
 coordinates, ghost vectors and componentwise lifts share."""
@@ -32,8 +31,6 @@ from ncwitt import (
     h_membership,
     least_rotation,
     parse_poly,
-    phi_class,
-    phi_map,
     trace_power,
     verschiebung,
     x_abelianize,
@@ -165,23 +162,6 @@ small_polys = st.sampled_from([AB, ONE]).flatmap(
 @given(small_polys, st.integers(0, 6))
 def test_trace_power_equals_expanded_power(f, n):
     assert trace_power(f, n) == abelianize(f**n)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([AB, MULTI]).flatmap(polys), st.integers(2, 5))
-def test_phi_class_is_phi_map_on_classes(f, p):
-    assert phi_class(abelianize(f), p) == abelianize(phi_map(f, p))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.dictionaries(st.lists(st.integers(0, 1), min_size=16, max_size=40).map(tuple), st.integers(-9, 9), max_size=6),
-    st.integers(2, 3),
-)
-def test_phi_class_is_phi_map_on_long_classes(terms, p):
-    # the keys of r_3 and r_4 in the level-5 pipeline have 16 and 32 letters
-    f = FreePoly(AB, terms)
-    assert phi_class(abelianize(f), p) == abelianize(phi_map(f, p))
 
 
 @settings(max_examples=60, deadline=None)

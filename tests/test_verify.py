@@ -51,6 +51,11 @@ class TestSweepFailures:
         assert out.rstrip().endswith("overall: fail")
 
 
+def test_counterexample_refuses_level_one():
+    with pytest.raises(ValueError, match="level >= 2"):
+        verify.run_checks(["counterexample"], level=1)
+
+
 def _verify_all_paragraph() -> str:
     paragraphs = README.read_text().split("\n\n")
     (paragraph,) = [p for p in paragraphs if p.startswith("`verify --all` runs")]
