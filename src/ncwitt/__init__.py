@@ -5,6 +5,7 @@ from .freealg import (
     AlphabetMismatch,
     COEFF_BIT_BUDGET,
     FreePoly,
+    InputError,
     LETTER_BUDGET,
     MINUS_INFINITY,
     ResourceLimit,

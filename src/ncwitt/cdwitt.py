@@ -14,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly, Word
+from .freealg import Alphabet, FreePoly, InputError, Word
 from .cycquot import AbelPoly, abelianize
 from .ghost import (
     AdditiveWittTuple,
@@ -128,7 +128,7 @@ def h_membership(f: FreePoly) -> bool:
     and the surviving degree-4 terms avoid XYXY and YXYX.
     """
     if len(f.alphabet) != 2:
-        raise ValueError("H is defined only over a two-generator alphabet")
+        raise InputError("H is defined only over a two-generator alphabet")
     return not any(c % 2 and (len(w) <= 3 or w in _EXCLUDED_DEGREE4) for w, c in f._terms.items())
 
 
@@ -193,6 +193,6 @@ def check_lemma_xyc(alphabet: Alphabet | None = None) -> bool:
     if alphabet is None:
         alphabet = Alphabet(["X", "Y"])
     if len(alphabet) != 2:
-        raise ValueError("the obstruction is formulated over a two-generator alphabet")
+        raise InputError("the obstruction is formulated over a two-generator alphabet")
     target = abelianize(FreePoly.monomial(alphabet, (0, 0, 1, 1)))
     return not f2_span_membership(target, square_class_generators(alphabet), 4)

@@ -8,6 +8,7 @@ freely between threads.
 
 from __future__ import annotations
 
+import re
 from typing import Iterable, Iterator, Mapping
 
 Word = tuple[int, ...]
@@ -37,6 +38,12 @@ COEFF_BIT_BUDGET = 2**13
 #: Size bounds are computed exactly below this value and saturate at it,
 #: so that a huge exponent costs nothing to refuse.
 COUNT_CAP = 2**64
+
+
+class InputError(ValueError):
+    """An input outside what the library computes on: a malformed name or
+    expression, a p that is not prime, a level below its minimum, or an
+    alphabet a construction is not formulated over."""
 
 
 class ResourceLimit(ValueError):
@@ -104,12 +111,13 @@ class Alphabet:
     def __init__(self, names: Iterable[str]):
         names = tuple(names)
         if not names:
-            raise ValueError("alphabet must have at least one generator")
+            raise InputError("alphabet must have at least one generator")
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names: {names}")
+            raise InputError(f"duplicate generator names: {names}")
         for name in names:
-            if not name or not name.isprintable() or any(c in "+-*^() \t" for c in name):
-                raise ValueError(f"invalid generator name: {name!r}")
+            # the parser's name rule: word characters, not starting with a digit
+            if not (re.fullmatch(r"\w+", name) and (name[0].isalpha() or name[0] == "_")):
+                raise InputError(f"invalid generator name: {name!r}")
         self.names = names
         self._index = {name: i for i, name in enumerate(names)}
         self.single_char = all(len(name) == 1 for name in names)

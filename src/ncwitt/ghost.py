@@ -16,15 +16,15 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly
+from .freealg import Alphabet, FreePoly, InputError
 from .cycquot import AbelPoly, abelianize, trace_power
 
 
 def check_prime(p: int) -> None:
-    """Raise ValueError unless p is a prime: p-typical Witt vectors and
+    """Raise InputError unless p is a prime: p-typical Witt vectors and
     the ghost recursion are defined only for a prime p."""
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
-        raise ValueError(f"p must be a prime, got {p}")
+        raise InputError(f"p must be a prime, got {p}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class WittContext:
     def __post_init__(self):
         check_prime(self.p)
         if self.n < 1:
-            raise ValueError("truncation length must be >= 1")
+            raise InputError(f"truncation length must be >= 1, got {self.n}")
 
 
 class ContextMismatch(ValueError):
@@ -69,8 +69,11 @@ class WittTuple:
 
     @classmethod
     def of(cls, ctx: WittContext, entries: Sequence = ()):
-        """The tuple of the given entries, padded with zeros to length n."""
+        """The tuple of the given entries, padded with zeros to length n;
+        more than n entries are an InputError."""
         entries = tuple(entries)
+        if len(entries) > ctx.n:
+            raise InputError(f"expected at most {ctx.n} entries, got {len(entries)}")
         zero = cls.entry_type.zero(ctx.alphabet)
         return cls(ctx, entries + (zero,) * (ctx.n - len(entries)))
 

@@ -25,10 +25,12 @@ from __future__ import annotations
 import re
 from math import ceil, log2
 
-from .freealg import LETTER_BUDGET, Alphabet, FreePoly, check_bits, check_letters, coefficient_bits
+from .freealg import (
+    LETTER_BUDGET, Alphabet, FreePoly, InputError, check_bits, check_letters, coefficient_bits
+)
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """Malformed expression; carries the offending position."""
 
     def __init__(self, message: str, position: int):
@@ -36,7 +38,7 @@ class ParseError(ValueError):
         self.position = position
 
 
-class UnknownGenerator(ValueError):
+class UnknownGenerator(InputError):
     """A symbol in the expression is not in the active alphabet."""
 
     def __init__(self, symbol: str, position: int):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly, commutator, phi_map
+from .freealg import Alphabet, FreePoly, InputError, commutator, phi_map
 from .cycquot import abelianize, divide_exact, in_commutator_subgroup, sigma0
 from .ghost import CoordinateTuple, WittContext, ghost_map, witt_class, witt_polynomial
 from .cdwitt import h_membership
@@ -105,7 +105,7 @@ def counterexample_report(n: int = 2) -> CounterexampleReport:
     membership test.  Any failed assertion flips the report to FAILED.
     """
     if n < 2:
-        raise ValueError("the counterexample needs level >= 2")
+        raise InputError(f"the counterexample needs level >= 2, got {n}")
     alphabet = Alphabet(["X", "Y"])
     ctx = WittContext(alphabet, 2, n)
     x = FreePoly.generator(alphabet, "X")

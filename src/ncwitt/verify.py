@@ -14,9 +14,9 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
-from .freealg import Alphabet, FreePoly, commutator
+from .freealg import Alphabet, FreePoly, InputError, commutator
 from .cycquot import abelianize
-from .ghost import CoordinateTuple, WittContext, check_wagen_decomposition, ghost_map
+from .ghost import CoordinateTuple, WittContext, check_prime, check_wagen_decomposition, ghost_map
 from .cdwitt import (
     check_bracket_identity,
     check_component1_in_H,
@@ -305,18 +305,6 @@ CHECK_IDS = tuple(_CHECKS)
 DEFAULT_SEED = 20230817
 
 
-class UnknownCheck(ValueError):
-    """A selected check id is not in the check table."""
-
-
-class PrimeNotSupported(ValueError):
-    """Some selected checks are formulated at one prime, and another p was asked for."""
-
-
-class AlphabetNotSupported(ValueError):
-    """Some selected checks need a number of generators the alphabet does not have."""
-
-
 def run_checks(
     selection: Sequence[str],
     alphabet: Alphabet | None = None,
@@ -326,25 +314,27 @@ def run_checks(
 ) -> VerifyReport:
     """Run the named checks and aggregate a report.  Results follow the
     order of the check table, independent of the order of the selection.
-    Raises UnknownCheck on an id outside the table, PrimeNotSupported if
-    the selection holds a check whose prime is not p, and
-    AlphabetNotSupported if it holds a check whose number of generators is
-    not the alphabet's, all before running anything.  Every prime and every
-    number of generators in the table is 2, and the messages say so.  The
-    counterexample check raises ValueError below level 2."""
+    Raises InputError, before running anything, if p is not prime, if
+    level (the counterexample's) is below 2, on an id outside the table,
+    or if the selection holds a check whose prime is not p or whose
+    number of generators is not the alphabet's.  Every prime and every
+    number of generators in the table is 2, and the messages say so."""
     if alphabet is None:
         alphabet = Alphabet(["X", "Y"])
+    check_prime(p)
+    if level < 2:
+        raise InputError(f"the counterexample needs level >= 2, got {level}")
     unknown = [s for s in selection if s not in CHECK_IDS]
     if unknown:
-        raise UnknownCheck(f"unknown check ids: {unknown}; valid ids: {list(CHECK_IDS)}")
+        raise InputError(f"unknown check ids: {unknown}; valid ids: {list(CHECK_IDS)}")
     chosen = [(c, row) for c, row in _CHECKS.items() if c in selection]
     off_p = [c for c, (_, _, prime, _) in chosen if prime not in (None, p)]
     if off_p:
-        raise PrimeNotSupported(f"checks {off_p} exist only at p = 2, not at p = {p}")
+        raise InputError(f"checks {off_p} exist only at p = 2, not at p = {p}")
     off_size = [c for c, (*_, letters) in chosen if letters not in (None, len(alphabet))]
     if off_size:
         names = ",".join(alphabet.names)
-        raise AlphabetNotSupported(f"checks {off_size} need a two-generator alphabet, not {names}")
+        raise InputError(f"checks {off_size} need a two-generator alphabet, not {names}")
 
     results = []
     for check_id, (description, runner, *_) in chosen:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from ncwitt import AbelPoly, Alphabet, abelianize, parse_poly
+from ncwitt import cli
 from ncwitt.cli import build_parser, run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -294,10 +295,12 @@ class TestUsageErrors:
         assert code == 0
         assert out == "(X)"
 
-    @pytest.mark.parametrize("alphabet", ["X,X", "X+,Y"])
+    # a name the parser cannot read as one generator is refused too: it
+    # would read the generator 2 as an integer, and X., 1X and A[1] not at all
+    @pytest.mark.parametrize("alphabet", ["X,X", "X+,Y", "2,Y", "X.,Y", "1X,Y", "A[1],B"])
     def test_bad_alphabet(self, capture, alphabet):
-        code, _, err = capture("abelianize", "--alphabet", alphabet, "X")
-        assert code == 2
+        code, out, err = capture("abelianize", "--alphabet", alphabet, "Y")
+        assert (code, out) == (2, "")
         assert err.startswith("usage error:")
 
     @pytest.mark.parametrize("alphabet", ["X", "X,Y,Z"])
@@ -353,6 +356,26 @@ class TestUsageErrors:
         code, out, _ = capture("--help")
         assert code == 0
         assert "usage:" in out
+
+
+class TestExitMapping:
+    """Exit 2 is exactly an InputError (or an argparse rejection): any other
+    exception from inside a computation is not the user's mistake."""
+
+    def test_internal_key_error_propagates(self, monkeypatch):
+        def broken(coords):
+            raise KeyError((0, 1))
+
+        monkeypatch.setattr(cli, "ghost_map", broken)
+        with pytest.raises(KeyError):
+            run(["ghost", "XY"])
+
+    def test_value_error_in_a_computation_exits_one(self, capture, monkeypatch):
+        def failing(coords):
+            raise ValueError("not an input error")
+
+        monkeypatch.setattr(cli, "ghost_map", failing)
+        assert capture("ghost", "XY") == (1, "", "error: not an input error")
 
 
 class TestFlagsPerCommand:

@@ -1,0 +1,67 @@
+"""The library refuses every input outside what it computes on with one
+exception type, InputError, and refuses it before any work starts."""
+
+import pytest
+
+from ncwitt import (
+    Alphabet,
+    CoordinateTuple,
+    FreePoly,
+    InputError,
+    WittContext,
+    check_lemma_xyc,
+    counterexample_report,
+    h_membership,
+    parse_poly,
+    verify,
+)
+
+AB = Alphabet(["X", "Y"])
+XYZ = Alphabet(["X", "Y", "Z"])
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: WittContext(AB, 4, 2), "p must be a prime, got 4"),
+        (lambda: WittContext(AB, 2, 0), "truncation length must be >= 1, got 0"),
+        (
+            lambda: CoordinateTuple.of(WittContext(AB, 2, 1), [FreePoly.one(AB)] * 2),
+            "expected at most 1 entries, got 2",
+        ),
+        (lambda: h_membership(FreePoly.one(XYZ)), "two-generator alphabet"),
+        (lambda: check_lemma_xyc(XYZ), "two-generator alphabet"),
+        (lambda: counterexample_report(1), "level >= 2, got 1"),
+        (lambda: Alphabet(["X", "2"]), "invalid generator name: '2'"),
+        (lambda: verify.run_checks(["no-such-check"]), "unknown check ids: ['no-such-check']"),
+        (lambda: verify.run_checks(["lemma-xyc"], p=3), "exist only at p = 2, not at p = 3"),
+        (lambda: verify.run_checks(["lemma-xyc"], alphabet=XYZ), "not X,Y,Z"),
+        (lambda: parse_poly("X +", AB), "expected a value"),
+    ],
+)
+def test_raises_input_error(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "selection, params, message",
+    [
+        (verify.CHECK_IDS, {"level": 1}, r"level >= 2, got 1"),
+        (["wagen"], {"p": 4}, r"p must be a prime, got 4"),
+    ],
+)
+def test_run_checks_refuses_before_any_runner(monkeypatch, selection, params, message):
+    calls = []
+
+    def recording(check_id):
+        return lambda *args: calls.append(check_id) or (True, "")
+
+    table = {c: (d, recording(c), *rest) for c, (d, _, *rest) in verify._CHECKS.items()}
+    monkeypatch.setattr(verify, "_CHECKS", table)
+    with pytest.raises(InputError, match=message):
+        verify.run_checks(selection, **params)
+    assert calls == []
+    verify.run_checks(["wagen"])  # the recording runners are the ones called
+    assert calls == ["wagen"]

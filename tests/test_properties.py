@@ -7,7 +7,7 @@ against FreePoly arithmetic, and for the Witt-tuple core that
 coordinates, ghost vectors and componentwise lifts share."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from test_cdwitt import brute_f2_span_membership, h_membership_by_reduce_mod
 from test_cycquot import brute_least_rotation
@@ -21,6 +21,7 @@ from ncwitt import (
     CoordinateTuple,
     FreePoly,
     GhostVector,
+    InputError,
     ParseError,
     ResourceLimit,
     UnknownGenerator,
@@ -205,6 +206,30 @@ def test_h_membership_matches_reduce_mod(odd, cancelled, even):
 @given(st.sampled_from([AB, MULTI]).flatmap(polys))
 def test_parse_inverts_str(f):
     assert parse_poly(str(f), f.alphabet) == f
+
+
+# Name-shaped strings (a letter or '_', then word characters: digits, '²',
+# '٣' and the numeral 'Ⅻ' among them) and arbitrary short text, so that
+# both single-character and multi-character alphabets are drawn.
+generator_names = st.one_of(
+    st.tuples(
+        st.sampled_from("XYabé_ΩªǅZ"), st.text(st.sampled_from("XYa_0129²٣Ⅻé"), max_size=3)
+    ).map("".join),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(generator_names, generator_names)
+def test_accepted_generator_names_parse_back(a, b):
+    # Alphabet accepts exactly the names the parser reads as one generator
+    try:
+        alphabet = Alphabet([a, b])
+    except InputError:
+        assume(False)
+    g, h = (FreePoly.generator(alphabet, name) for name in (a, b))
+    for f in (g, 2 * g, g * h):
+        assert parse_poly(str(f), alphabet) == f
 
 
 # -- the parser against FreePoly arithmetic -----------------------------------
