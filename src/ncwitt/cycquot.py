@@ -127,7 +127,8 @@ def _lyndon_words(k: int, n: int) -> Iterator[list[int]]:
         if n % m == 0:
             yield w
         # extend periodically to length n, then drop the trailing top letters
-        w.extend(w[i % m] for i in range(m, n))
+        w *= n // m + 1
+        del w[n:]
         while w and w[-1] == k - 1:
             w.pop()
 
@@ -144,12 +145,29 @@ def trace_power(f: FreePoly, n: int) -> AbelPoly:
     class least_rotation(concatenation of l)^(n/d).  Raises ResourceLimit
     when the chosen path's bound exceeds TERM_BUDGET, its words
     LETTER_BUDGET, or its coefficients COEFF_BIT_BUDGET.
+
+    Each class for n >= 2 is computed once per polynomial object: f
+    keeps it, and the same object asking again for the same n gets the
+    kept class.  An equal polynomial held in another object computes
+    its own.
     """
-    if n == 1:
-        return abelianize(f)
+    if n < 2:
+        return abelianize(f if n == 1 else f ** n)
+    try:
+        traces = f._traces
+    except AttributeError:
+        traces = f._traces = {}
+    alpha = traces.get(n)
+    if alpha is None:
+        alpha = traces[n] = _trace_power(f, n)
+    return alpha
+
+
+def _trace_power(f: FreePoly, n: int) -> AbelPoly:
+    """trace_power(f, n) for n >= 2, computed anew."""
     k = len(f)
-    if n < 1 or k < 2:
-        # no more words than necklaces; ** rejects a negative n
+    if k < 2:
+        # no more words than necklaces
         return abelianize(f ** n)
     words = capped_power(k, n)
     # k^n saturates only for n >= 64, where N(k, n) is far past the

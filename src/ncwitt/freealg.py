@@ -3,7 +3,11 @@
 Polynomials are sparse maps from words (tuples of generator indices) to
 arbitrary-precision integers.  All values are immutable after construction
 and every operation is a pure function, so polynomials can be shared
-freely between threads.
+freely between threads.  The one exception is hidden: a FreePoly caches
+the trace powers cycquot.trace_power computes from it, keyed by the
+exponent.  Callers cannot observe the cache, since a cached class equals
+a recomputed one, and two threads that race to fill it only store equal
+values.
 """
 
 from __future__ import annotations
@@ -300,7 +304,9 @@ class FreePoly(SparseCombination):
     """An element of the free ring Z{X,Y,...}: a finite integer combination
     of words."""
 
-    __slots__ = ()
+    # {n: AbelPoly}, the trace powers cycquot.trace_power has computed
+    # from this polynomial; unset until the first one
+    __slots__ = ("_traces",)
 
     # Bound here as well as inherited, so that each is an attribute of
     # FreePoly itself: bench/tracing.py times methods it finds in the

@@ -13,17 +13,49 @@ recovered from a ghost vector; nothing here needs that inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly, InputError
+from .freealg import Alphabet, FreePoly, InputError, Word
 from .cycquot import AbelPoly, abelianize, trace_power
 
 
+#: Miller-Rabin with these bases decides primality exactly below
+#: PRIME_BOUND (Sorenson and Webster, 2015).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= p < PRIME_BOUND."""
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    if p < _PRIME_BASES[-1] ** 2:
+        return p > 1
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def check_prime(p: int) -> None:
-    """Raise InputError unless p is a prime: p-typical Witt vectors and
-    the ghost recursion are defined only for a prime p."""
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    """Raise InputError unless p is a prime below PRIME_BOUND: p-typical
+    Witt vectors and the ghost recursion are defined only for a prime p,
+    and no computation is feasible near the bound."""
+    if p >= PRIME_BOUND:
+        raise InputError(f"p must be below {PRIME_BOUND:.2g}, got {p}")
+    if not _is_prime(p):
         raise InputError(f"p must be a prime, got {p}")
 
 
@@ -155,15 +187,25 @@ def witt_polynomial(i: int, coords: CoordinateTuple) -> FreePoly:
 def witt_class(i: int, entries: Sequence[FreePoly], p: int) -> AbelPoly:
     """The class in A/[A,A] of the i-th Witt polynomial of (a_0, a_1, ...),
     sum_j p^j tr(a_j^{p^{i-j}}), with the entries not given taken as zero
-    and each trace taken by trace_power.  entries must not be empty."""
-    total = AbelPoly.zero(entries[0].alphabet)
+    and each trace taken by trace_power.  entries must not be empty and
+    must share one alphabet."""
+    terms: dict[Word, int] = {}
     for j, a in enumerate(entries[: i + 1]):
-        total = total + (p**j) * trace_power(a, p ** (i - j))
-    return total
+        scale = p**j
+        for w, c in trace_power(a, p ** (i - j))._terms.items():
+            s = terms.get(w, 0) + scale * c
+            if s:
+                terms[w] = s
+            else:
+                del terms[w]
+    return AbelPoly._from_terms(entries[0].alphabet, terms)
 
 
 def ghost_map(coords: CoordinateTuple) -> GhostVector:
-    """Component i is the abelianized i-th Witt polynomial."""
+    """Component i is the abelianized i-th Witt polynomial.  Each
+    component is summed anew from the coordinates, but a trace power that
+    r_map, or an earlier ghost_map, computed from the same coordinate
+    object is reused: see trace_power."""
     ctx = coords.context
     return GhostVector(
         ctx, tuple(witt_class(i, coords.entries, ctx.p) for i in range(ctx.n))

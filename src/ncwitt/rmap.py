@@ -119,7 +119,8 @@ def counterexample_report(n: int = 2) -> CounterexampleReport:
     coords_text = str(coords)
     steps.append(ReportStep("r_map", f"({eps0}, 0, ...)", coords_text, "pass"))
 
-    # recomputed from the coordinates alone, never from r_map's classes
+    # summed anew from the coordinates and abelianized r_j; the traces
+    # tr(r_j^{p^k}) for k >= 1 are the ones r_map computed on these objects
     ghost = ghost_map(coords)
     vanishes = ghost.is_zero()
     steps.append(
