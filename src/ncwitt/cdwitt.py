@@ -11,19 +11,13 @@ through degree-bounded quotients mod 2, via the GF(2) span check.
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly, InputError, Word
+from .freealg import Alphabet, FreePoly, InputError, Word, p_powers
 from .cycquot import AbelPoly, abelianize
-from .ghost import (
-    AdditiveWittTuple,
-    CoordinateTuple,
-    GhostVector,
-    WittContext,
-    verschiebung,
-    witt_polynomial,
-)
+from .ghost import AdditiveWittTuple, CoordinateTuple, GhostVector, WittContext, verschiebung
 
 
 class XVector(AdditiveWittTuple):
@@ -38,16 +32,20 @@ class XVector(AdditiveWittTuple):
 
 
 def x_teichmuller(ctx: WittContext, a: FreePoly) -> XVector:
-    """The Teichmuller lift (a, a^p, a^{p^2}, ..., a^{p^{n-1}})."""
-    return XVector(ctx, tuple(a ** (ctx.p**i) for i in range(ctx.n)))
+    """The Teichmuller lift (a, a^p, a^{p^2}, ..., a^{p^{n-1}}): a's p-power chain."""
+    return XVector(ctx, tuple(p_powers(a, ctx.p, ctx.n)))
 
 
 def omega_map(coords: CoordinateTuple) -> XVector:
     """Lift the ghost construction to the free ring: entry j is the j-th
-    Witt polynomial, un-abelianized.  Equals the finite sum of V^i applied
-    to the Teichmuller lift of a_i, truncated at the same level."""
+    Witt polynomial, un-abelianized, from one p-power chain per coordinate.
+    Equals the finite sum of V^i applied to the Teichmuller lift of a_i."""
     ctx = coords.context
-    return XVector(ctx, tuple(witt_polynomial(j, coords) for j in range(ctx.n)))
+    entries = [FreePoly.zero(ctx.alphabet)] * ctx.n
+    for i, a in enumerate(coords.entries):
+        for j, power in enumerate(p_powers(a, ctx.p, ctx.n - i), i):
+            entries[j] = entries[j] + ctx.p**i * power
+    return XVector(ctx, tuple(entries))
 
 
 def x_abelianize(x: XVector) -> GhostVector:
@@ -55,11 +53,28 @@ def x_abelianize(x: XVector) -> GhostVector:
     return GhostVector(x.context, tuple(abelianize(e) for e in x.entries))
 
 
-def _teichmuller_product(ctx: WittContext, factors: Sequence[FreePoly]) -> XVector:
-    prod = x_teichmuller(ctx, factors[0])
-    for a in factors[1:]:
-        prod = prod * x_teichmuller(ctx, a)
-    return prod
+def _teichmuller_product(ctx: WittContext, chains: Sequence[list], start: int = 0) -> XVector:
+    """<a_1>...<a_s> from the p-power chain of each a_k, read from entry
+    `start` on: a chain read from s is the lift of a^{p^s}."""
+    windows = (chain[start : start + ctx.n] for chain in chains)
+    return XVector(ctx, tuple(reduce(FreePoly.__mul__, e) for e in zip(*windows)))
+
+
+def _generator(m: int, n_shift: int, a_factors, b_factors, level: int, p: int):
+    """Validate the arguments; return commutator_generator's value, <a_1>...<a_s>
+    and each b_k's p-power chain: its entries from s = n_shift - m on lift b_k^{p^s}."""
+    if m < 0 or n_shift < 0 or m > n_shift:
+        raise ValueError(f"need 0 <= m <= n_shift, got m={m}, n_shift={n_shift}")
+    if not a_factors or not b_factors:
+        raise ValueError("factor lists must be non-empty")
+    ctx = WittContext(a_factors[0].alphabet, p, level + 1)
+    left = _teichmuller_product(ctx, [p_powers(a, p, ctx.n) for a in a_factors])
+    b_chains = [p_powers(b, p, ctx.n + n_shift - m) for b in b_factors]
+    right = _teichmuller_product(ctx, b_chains, start=n_shift - m)
+    bracket = left * right - right * left
+    for _ in range(n_shift):
+        bracket = verschiebung(bracket)
+    return p**m * bracket, left, b_chains
 
 
 def commutator_generator(
@@ -77,18 +92,7 @@ def commutator_generator(
 
     where the bracket is the componentwise additive commutator.
     """
-    if m < 0 or n_shift < 0 or m > n_shift:
-        raise ValueError(f"need 0 <= m <= n_shift, got m={m}, n_shift={n_shift}")
-    if not a_factors or not b_factors:
-        raise ValueError("factor lists must be non-empty")
-    ctx = WittContext(a_factors[0].alphabet, p, level + 1)
-    q = p ** (n_shift - m)
-    left = _teichmuller_product(ctx, a_factors)
-    right = _teichmuller_product(ctx, [b**q for b in b_factors])
-    bracket = left * right - right * left
-    for _ in range(n_shift):
-        bracket = verschiebung(bracket)
-    return p**m * bracket
+    return _generator(m, n_shift, a_factors, b_factors, level, p)[0]
 
 
 def check_bracket_identity(
@@ -100,23 +104,27 @@ def check_bracket_identity(
     p: int = 2,
 ) -> bool:
     """Verify [V^n(<a_1>...<a_s>), V^m(<b_1>...<b_t>)] equals the
-    commutator generator above, entrywise.  Arguments are validated by
-    commutator_generator."""
-    ctx = WittContext(a_factors[0].alphabet, p, level + 1)
-    left = _teichmuller_product(ctx, a_factors)
+    commutator generator above, entrywise.  Its arguments are checked and
+    the generator built by commutator_generator's code, from the p-power
+    chains both sides share: <b_k> is the start of b_k's chain."""
+    generator, left, b_chains = _generator(m, n_shift, a_factors, b_factors, level, p)
+    right = _teichmuller_product(left.context, b_chains)
     for _ in range(n_shift):
         left = verschiebung(left)
-    right = _teichmuller_product(ctx, b_factors)
     for _ in range(m):
         right = verschiebung(right)
-    lhs = left * right - right * left
-    rhs = commutator_generator(m, n_shift, a_factors, b_factors, level, p)
-    return lhs == rhs
+    return left * right - right * left == generator
 
 
 # -- the degree-4 obstruction ideal at p=2 over {X,Y} ---------------------
 
 _EXCLUDED_DEGREE4: tuple[Word, Word] = ((0, 1, 0, 1), (1, 0, 1, 0))
+
+
+def check_h_alphabet(alphabet: Alphabet) -> None:
+    """Raise InputError unless H is defined over alphabet: it has two generators."""
+    if len(alphabet) != 2:
+        raise InputError("H is defined only over a two-generator alphabet")
 
 
 def h_membership(f: FreePoly) -> bool:
@@ -127,8 +135,7 @@ def h_membership(f: FreePoly) -> bool:
     After reducing mod 2, f lies in H iff no term of degree <= 3 survives
     and the surviving degree-4 terms avoid XYXY and YXYX.
     """
-    if len(f.alphabet) != 2:
-        raise InputError("H is defined only over a two-generator alphabet")
+    check_h_alphabet(f.alphabet)
     return not any(c % 2 and (len(w) <= 3 or w in _EXCLUDED_DEGREE4) for w, c in f._terms.items())
 
 

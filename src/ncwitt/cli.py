@@ -18,7 +18,7 @@ import sys
 from .freealg import Alphabet, InputError
 from .cycquot import NotDivisible, abelianize
 from .ghost import CoordinateTuple, WittContext, ghost_map
-from .cdwitt import h_membership, omega_map
+from .cdwitt import check_h_alphabet, h_membership, omega_map
 from .parser import parse_poly
 from .rmap import r_map
 from .verify import CHECK_IDS, DEFAULT_SEED, run_checks
@@ -122,6 +122,7 @@ def run(argv=None) -> int:
             return 0 if report.passed else 1
 
         if args.command == "hmember":
+            check_h_alphabet(alphabet)  # before the text is parsed
             member = h_membership(parse_poly(args.poly, alphabet))
             _emit(args, member, "true" if member else "false")
             return 0
@@ -132,6 +133,7 @@ def run(argv=None) -> int:
             # a coordinate-tuple command; omega's lift has level+1 entries, 0..level
             level = args.level + 1 if args.command == "omega" else args.level
             ctx = WittContext(alphabet, args.p, level)
+            ctx.check_count(len(args.coords))  # before any text is parsed
             polys = [parse_poly(t, alphabet) for t in args.coords]
             text = str(_TUPLE_MAPS[args.command](polys, ctx))
         _emit(args, text, text)

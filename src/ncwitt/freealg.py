@@ -226,13 +226,14 @@ class SparseCombination:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.alphabet == other.alphabet and self._terms == other._terms
+        alphabets_equal = self.alphabet is other.alphabet or self.alphabet == other.alphabet
+        return alphabets_equal and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash((self.alphabet, frozenset(self._terms.items())))
 
     def _check_alphabet(self, other: "SparseCombination") -> None:
-        if self.alphabet != other.alphabet:
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise AlphabetMismatch(
                 f"cannot combine polynomials over {self.alphabet!r} and {other.alphabet!r}"
             )
@@ -433,6 +434,18 @@ def squaring_work(f: FreePoly, n: int) -> int:
             work += terms(e) ** 2
             e *= 2
     return min(work, COUNT_CAP)
+
+
+def p_powers(a: FreePoly, p: int, count: int) -> list[FreePoly]:
+    """[a, a^p, ..., a^{p^(count-1)}]: each entry the expanded p-th power of
+    the one before.  The letter budget sees the last exponent, p^(count-1),
+    as in a ** p^(count-1), so a constant's chain is bounded too."""
+    if count > 1:
+        check_letters(capped_power(p, count - 1), a.degree)
+    chain = [a]
+    for _ in range(count - 1):
+        chain.append(chain[-1] ** p)
+    return chain
 
 
 def commutator(f: FreePoly, g: FreePoly) -> FreePoly:

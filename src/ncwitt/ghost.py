@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly, InputError, Word
+from .freealg import Alphabet, FreePoly, InputError, Word, p_powers
 from .cycquot import AbelPoly, abelianize, trace_power
 
 
@@ -73,6 +73,11 @@ class WittContext:
         if self.n < 1:
             raise InputError(f"truncation length must be >= 1, got {self.n}")
 
+    def check_count(self, count: int) -> None:
+        """Raise InputError if count entries are more than a tuple holds."""
+        if count > self.n:
+            raise InputError(f"expected at most {self.n} entries, got {count}")
+
 
 class ContextMismatch(ValueError):
     """Raised when combining vectors from different Witt contexts."""
@@ -96,7 +101,7 @@ class WittTuple:
                 f"expected {self.context.n} entries, got {len(self.entries)}"
             )
         for e in self.entries:
-            if e.alphabet != self.context.alphabet:
+            if e.alphabet is not self.context.alphabet and e.alphabet != self.context.alphabet:
                 raise ContextMismatch("entry alphabet differs from context")
 
     @classmethod
@@ -104,8 +109,7 @@ class WittTuple:
         """The tuple of the given entries, padded with zeros to length n;
         more than n entries are an InputError."""
         entries = tuple(entries)
-        if len(entries) > ctx.n:
-            raise InputError(f"expected at most {ctx.n} entries, got {len(entries)}")
+        ctx.check_count(len(entries))
         zero = cls.entry_type.zero(ctx.alphabet)
         return cls(ctx, entries + (zero,) * (ctx.n - len(entries)))
 
@@ -214,10 +218,8 @@ def ghost_map(coords: CoordinateTuple) -> GhostVector:
 
 def w_teichmuller(ctx: WittContext, a: FreePoly) -> GhostVector:
     """Ghost of the Teichmuller lift (a, 0, ..., 0): component i is the
-    class of a^{p^i}."""
-    return GhostVector(
-        ctx, tuple(abelianize(a ** (ctx.p**i)) for i in range(ctx.n))
-    )
+    class of a^{p^i}, expanded as the p-th power of a^{p^(i-1)}."""
+    return GhostVector(ctx, tuple(abelianize(e) for e in p_powers(a, ctx.p, ctx.n)))
 
 
 def check_wagen_decomposition(coords: CoordinateTuple) -> bool:

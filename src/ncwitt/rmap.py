@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .freealg import Alphabet, FreePoly, InputError, commutator, phi_map
+from .freealg import Alphabet, FreePoly, InputError, commutator, p_powers, phi_map
 from .cycquot import abelianize, divide_exact, in_commutator_subgroup, sigma0
 from .ghost import CoordinateTuple, WittContext, ghost_map, witt_class, witt_polynomial
 from .cdwitt import h_membership
@@ -59,7 +59,8 @@ def check_lemma_phi(x: FreePoly, k: int, p: int) -> bool:
     and that phi preserves the commutator subgroup on brackets built from x."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    diff = abelianize(x ** (p**k) - phi_map(x ** (p ** (k - 1)), p))
+    *_, below, top = p_powers(x, p, k + 1)  # x^{p^(k-1)} and its p-th power
+    diff = abelianize(top - phi_map(below, p))
     modulus = p**k
     if any(c % modulus for _, c in diff.terms()):
         return False

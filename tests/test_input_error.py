@@ -1,6 +1,8 @@
 """The library refuses every input outside what it computes on with one
 exception type, InputError, and refuses it before any work starts."""
 
+import time
+
 import pytest
 
 from ncwitt import (
@@ -15,6 +17,8 @@ from ncwitt import (
     parse_poly,
     verify,
 )
+from ncwitt.cdwitt import check_h_alphabet
+from ncwitt.cli import run
 
 AB = Alphabet(["X", "Y"])
 XYZ = Alphabet(["X", "Y", "Z"])
@@ -65,3 +69,31 @@ def test_run_checks_refuses_before_any_runner(monkeypatch, selection, params, me
     assert calls == []
     verify.run_checks(["wagen"])  # the recording runners are the ones called
     assert calls == ["wagen"]
+
+
+def test_checks_the_cli_runs_before_parsing():
+    with pytest.raises(InputError, match="expected at most 1 entries, got 2"):
+        WittContext(AB, 2, 1).check_count(2)
+    WittContext(AB, 2, 1).check_count(1)
+    with pytest.raises(InputError, match="two-generator alphabet"):
+        check_h_alphabet(XYZ)
+    check_h_alphabet(AB)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # parsing the second coordinate would take over a second of CPU
+        (["ghost", "--level", "1", "X", "(X+Y)^19"], "expected at most 1 entries, got 2"),
+        # parsing first would refuse the power with ResourceLimit, exit 1
+        (["hmember", "--alphabet", "X,Y,Z", "(X+Y+Z)^40"], "two-generator alphabet"),
+    ],
+)
+def test_cli_refuses_before_parsing(capsys, argv, message):
+    start = time.process_time()
+    code = run(argv)
+    elapsed = time.process_time() - start
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error:") and message in err
+    assert elapsed < 0.2
