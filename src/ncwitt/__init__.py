@@ -38,7 +38,6 @@ from .ghost import (
 from .cdwitt import (
     XVector,
     check_bracket_identity,
-    check_component1_in_H,
     check_lemma_xyc,
     commutator_generator,
     f2_span_membership,

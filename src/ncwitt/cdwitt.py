@@ -139,17 +139,6 @@ def h_membership(f: FreePoly) -> bool:
     return not any(c % 2 and (len(w) <= 3 or w in _EXCLUDED_DEGREE4) for w, c in f._terms.items())
 
 
-def check_component1_in_H(
-    m: int,
-    n_shift: int,
-    a_factors: Sequence[FreePoly],
-    b_factors: Sequence[FreePoly],
-) -> bool:
-    """Component 1 of every commutator generator lies in H (p=2)."""
-    gen = commutator_generator(m, n_shift, a_factors, b_factors, level=1, p=2)
-    return h_membership(gen.entries[1])
-
-
 # -- GF(2) linear algebra over circular-word bases ------------------------
 
 

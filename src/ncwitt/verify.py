@@ -19,9 +19,10 @@ from .cycquot import abelianize
 from .ghost import CoordinateTuple, WittContext, check_prime, check_wagen_decomposition, ghost_map
 from .cdwitt import (
     check_bracket_identity,
-    check_component1_in_H,
     check_lemma_xyc,
+    commutator_generator,
     f2_span_membership,
+    h_membership,
     omega_map,
     square_class_generators,
     x_abelianize,
@@ -172,16 +173,19 @@ def check_thelemma_sweep(alphabet: Alphabet, p: int, level: int, seed: int) -> t
     ideal H: every m=n_shift=0 pair of single words of degree 1 or 2 first,
     then 30 seeded draws over all m <= n_shift <= 1."""
     words = [FreePoly.monomial(alphabet, w) for w in [(0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]]
-    pairs = [(a, b) for a in words for b in words]
+    pairs = [([a], [b]) for a in words for b in words]
 
     def case(rng, pair):
-        if pair is not None:
+        if pair is None:
+            n_shift = rng.randint(0, 1)
+            m = rng.randint(0, n_shift)
+            a, b = _factors(rng, alphabet), _factors(rng, alphabet)
+        else:
+            m = n_shift = 0
             a, b = pair
-            return None if check_component1_in_H(0, 0, [a], [b]) else f"a={a}, b={b}"
-        n_shift = rng.randint(0, 1)
-        m = rng.randint(0, n_shift)
-        a, b = _factors(rng, alphabet), _factors(rng, alphabet)
-        return None if check_component1_in_H(m, n_shift, a, b) else f"m={m}, n_shift={n_shift}"
+        if h_membership(commutator_generator(m, n_shift, a, b, level=1, p=2).entries[1]):
+            return None
+        return f"a={a[0]}, b={b[0]}" if pair else f"m={m}, n_shift={n_shift}"
 
     return _sweep(seed, pairs + [None] * 30, case)
 
@@ -302,6 +306,9 @@ _CHECKS: dict[str, tuple[str, _Runner, int | None, int | None]] = {
 
 CHECK_IDS = tuple(_CHECKS)
 
+#: How run_checks spells the number of generators a check needs.
+_NUMBER_WORDS = {1: "one", 2: "two", 3: "three", 4: "four"}
+
 DEFAULT_SEED = 20230817
 
 
@@ -317,8 +324,8 @@ def run_checks(
     Raises InputError, before running anything, if p is not prime, if
     level (the counterexample's) is below 2, on an id outside the table,
     or if the selection holds a check whose prime is not p or whose
-    number of generators is not the alphabet's.  Every prime and every
-    number of generators in the table is 2, and the messages say so."""
+    number of generators is not the alphabet's; the message names the
+    primes or the numbers of generators those checks need."""
     if alphabet is None:
         alphabet = Alphabet(["X", "Y"])
     check_prime(p)
@@ -328,13 +335,15 @@ def run_checks(
     if unknown:
         raise InputError(f"unknown check ids: {unknown}; valid ids: {list(CHECK_IDS)}")
     chosen = [(c, row) for c, row in _CHECKS.items() if c in selection]
-    off_p = [c for c, (_, _, prime, _) in chosen if prime not in (None, p)]
+    off_p = {c: prime for c, (_, _, prime, _) in chosen if prime not in (None, p)}
     if off_p:
-        raise InputError(f"checks {off_p} exist only at p = 2, not at p = {p}")
-    off_size = [c for c, (*_, letters) in chosen if letters not in (None, len(alphabet))]
+        primes = " or ".join(map(str, sorted(set(off_p.values()))))
+        raise InputError(f"checks {list(off_p)} exist only at p = {primes}, not at p = {p}")
+    off_size = {c: letters for c, (*_, letters) in chosen if letters not in (None, len(alphabet))}
     if off_size:
+        sizes = " or ".join(_NUMBER_WORDS.get(k, str(k)) for k in sorted(set(off_size.values())))
         names = ",".join(alphabet.names)
-        raise InputError(f"checks {off_size} need a two-generator alphabet, not {names}")
+        raise InputError(f"checks {list(off_size)} need a {sizes}-generator alphabet, not {names}")
 
     results = []
     for check_id, (description, runner, *_) in chosen:

@@ -18,11 +18,11 @@ from ncwitt import (
     CoordinateTuple,
     FreePoly,
     WittContext,
-    check_component1_in_H,
     check_lemma_phi,
     check_lemma_xyc,
     check_wagen_decomposition,
     commutator,
+    commutator_generator,
     f2_span_membership,
     ghost_map,
     h_membership,
@@ -175,4 +175,4 @@ def test_criterion_10_nonexistence_core(ab, X, Y):
         assert ghost_map(coords).is_zero()
         assert not h_membership(omega1)
         assert check_lemma_xyc(ab)
-        assert check_component1_in_H(0, 0, [X], [Y])
+        assert h_membership(commutator_generator(0, 0, [X], [Y], level=1, p=2).entries[1])

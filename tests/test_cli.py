@@ -1,6 +1,8 @@
 import argparse
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import ncwitt
 from ncwitt import AbelPoly, Alphabet, abelianize, parse_poly
 from ncwitt import cli
 from ncwitt.cli import build_parser, run
@@ -91,8 +94,8 @@ class TestRmapCommand:
 
     def test_non_commutator_input_fails(self, capture):
         code, _, err = capture("rmap", "--level", "2", "X")
-        assert code == 1
-        assert "error" in err
+        assert code == 2
+        assert err.startswith("usage error: epsilon 0 is not in [A,A]: X")
 
     def test_degree_past_64_runs(self, capture):
         # r_1 has degree 82 and r_2 degree 164, well inside the letter budget
@@ -358,9 +361,55 @@ class TestUsageErrors:
         assert "usage:" in out
 
 
+#: The exit code of every exception class the package defines.  A new
+#: exception class fails test_every_exception_class_has_an_exit_code
+#: until its exit code is decided here.
+EXIT_CODES = {
+    "InputError": 2,
+    "ParseError": 2,
+    "UnknownGenerator": 2,
+    "EpsilonNotCommutator": 2,
+    "ResourceLimit": 1,
+    "NotDivisible": 1,
+    "AlphabetMismatch": 1,
+    "ContextMismatch": 1,
+}
+
+
+def package_exceptions() -> dict[str, type]:
+    """Every exception class defined in a module of ncwitt, by name."""
+    found = {}
+    for info in pkgutil.iter_modules(ncwitt.__path__):
+        module = importlib.import_module(f"ncwitt.{info.name}")
+        for name, value in vars(module).items():
+            if (
+                isinstance(value, type)
+                and issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+            ):
+                found[name] = value
+    return found
+
+
 class TestExitMapping:
     """Exit 2 is exactly an InputError (or an argparse rejection): any other
     exception from inside a computation is not the user's mistake."""
+
+    def test_every_exception_class_has_an_exit_code(self):
+        assert sorted(package_exceptions()) == sorted(EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_exception_exits_with_its_code(self, capture, monkeypatch, name):
+        exc_type = package_exceptions()[name]
+        assert issubclass(exc_type, ncwitt.InputError) == (EXIT_CODES[name] == 2)
+
+        def raising(names):
+            # __new__ alone: some classes' __init__ takes more than a message
+            raise exc_type.__new__(exc_type, "boom")
+
+        monkeypatch.setattr(cli, "Alphabet", raising)
+        prefix = "usage error" if EXIT_CODES[name] == 2 else "error"
+        assert capture("abelianize", "X") == (EXIT_CODES[name], "", f"{prefix}: boom")
 
     def test_internal_key_error_propagates(self, monkeypatch):
         def broken(coords):

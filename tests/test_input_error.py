@@ -15,6 +15,7 @@ from ncwitt import (
     counterexample_report,
     h_membership,
     parse_poly,
+    r_map,
     verify,
 )
 from ncwitt.cdwitt import check_h_alphabet
@@ -41,6 +42,10 @@ XYZ = Alphabet(["X", "Y", "Z"])
         (lambda: verify.run_checks(["lemma-xyc"], p=3), "exist only at p = 2, not at p = 3"),
         (lambda: verify.run_checks(["lemma-xyc"], alphabet=XYZ), "not X,Y,Z"),
         (lambda: parse_poly("X +", AB), "expected a value"),
+        (
+            lambda: r_map([FreePoly.generator(AB, "X")], WittContext(AB, 2, 2)),
+            "epsilon 0 is not in [A,A]: X",
+        ),
     ],
 )
 def test_raises_input_error(call, message):
@@ -69,6 +74,31 @@ def test_run_checks_refuses_before_any_runner(monkeypatch, selection, params, me
     assert calls == []
     verify.run_checks(["wagen"])  # the recording runners are the ones called
     assert calls == ["wagen"]
+
+
+@pytest.mark.parametrize(
+    "column, values, message",
+    [
+        (2, {"lemma-xyc": 3}, "checks ['lemma-xyc'] exist only at p = 3, not at p = 2"),
+        (
+            2,
+            {"lemma-xyc": 3, "commutative-sanity": 5},
+            "checks ['lemma-xyc', 'commutative-sanity'] exist only at p = 3 or 5, not at p = 2",
+        ),
+        (3, {"lemma-xyc": 3}, "checks ['lemma-xyc'] need a three-generator alphabet, not X,Y"),
+    ],
+)
+def test_run_checks_messages_follow_the_table(monkeypatch, column, values, message):
+    # column 2 of a row is the check's prime, column 3 its number of generators
+    table = dict(verify._CHECKS)
+    for check_id, value in values.items():
+        row = list(table[check_id])
+        row[column] = value
+        table[check_id] = tuple(row)
+    monkeypatch.setattr(verify, "_CHECKS", table)
+    with pytest.raises(InputError) as info:
+        verify.run_checks(list(values))
+    assert str(info.value) == message
 
 
 def test_checks_the_cli_runs_before_parsing():

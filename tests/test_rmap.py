@@ -199,3 +199,28 @@ class TestCounterexampleReport:
         assert report.status == "FAILED"
         step = next(s for s in report.steps if s.name == "ghost_vanishes")
         assert step.status == "fail"
+
+    # each fake fails exactly one step; a verdict left out of the report's
+    # status would let that report pass
+    def test_nonzero_ghost_fails_only_its_step(self, monkeypatch, ab, X, Y):
+        nonzero = ghost_map(mutated_result(ab, X, Y))
+        monkeypatch.setattr("ncwitt.rmap.ghost_map", lambda coords: nonzero)
+        report = counterexample_report(2)
+        assert report.status == "FAILED"
+        assert [s.status for s in report.steps] == ["pass", "fail", "pass", "pass"]
+
+    def test_wrong_entry1_fails_only_its_step(self, monkeypatch):
+        # -entry1 differs from entry1 and, H being additive, is outside H too
+        monkeypatch.setattr(
+            "ncwitt.rmap.witt_polynomial", lambda i, coords: -witt_polynomial(i, coords)
+        )
+        report = counterexample_report(2)
+        assert report.status == "FAILED"
+        assert [s.status for s in report.steps] == ["pass", "pass", "fail", "pass"]
+
+    def test_entry1_in_h_fails_only_its_step(self, monkeypatch):
+        monkeypatch.setattr("ncwitt.rmap.h_membership", lambda f: True)
+        report = counterexample_report(2)
+        assert report.status == "FAILED"
+        assert [s.status for s in report.steps] == ["pass", "pass", "pass", "fail"]
+        assert report.steps[3].output == "in H"

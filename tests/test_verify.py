@@ -22,7 +22,7 @@ class TestSweepFailures:
         assert result.details == "20/20 failed: ['(Y)', '(0, 3X^2, 3Y^2)', '(X, 1 + X, 0)']"
 
     def test_thelemma_reports_exhaustive_pairs_first(self, monkeypatch):
-        monkeypatch.setattr(verify, "check_component1_in_H", lambda *args: False)
+        monkeypatch.setattr(verify, "h_membership", lambda f: False)
         (result,) = verify.run_checks(["lemma-thelemma"]).checks
         assert result.status == "fail"
         assert result.details == "66/66 failed: ['a=X, b=X', 'a=X, b=Y', 'a=X, b=X^2']"
@@ -30,13 +30,13 @@ class TestSweepFailures:
     def test_thelemma_reports_random_cases_by_shift(self, monkeypatch):
         # the 36 exhaustive word pairs come first; fail only the 30 draws after them
         calls = []
-        holds = verify.check_component1_in_H
+        holds = verify.h_membership
 
-        def after_exhaustive(*args):
-            calls.append(args)
-            return len(calls) <= 36 and holds(*args)
+        def after_exhaustive(f):
+            calls.append(f)
+            return len(calls) <= 36 and holds(f)
 
-        monkeypatch.setattr(verify, "check_component1_in_H", after_exhaustive)
+        monkeypatch.setattr(verify, "h_membership", after_exhaustive)
         (result,) = verify.run_checks(["lemma-thelemma"]).checks
         assert result.status == "fail"
         assert result.details == (
