@@ -273,14 +273,6 @@ class SparseCombination:
             return self * other
         return NotImplemented
 
-    def reduce_mod(self, m: int):
-        """Reduce every coefficient to its representative in [0, m)."""
-        if m < 2:
-            raise ValueError("modulus must be at least 2")
-        return self._from_terms(
-            self.alphabet, {w: c % m for w, c in self._terms.items() if c % m}
-        )
-
     # -- formatting ------------------------------------------------------
 
     def _format_term(self, w: Word, mag: int) -> str:

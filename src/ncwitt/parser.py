@@ -12,12 +12,15 @@ generator name is a single character; multi-character alphabets require
 explicit '*'.  str(FreePoly) is the inverse: parsing a formatted
 polynomial returns it exactly.
 
-One regular-expression scan makes the tokens; a value (an integer, a
-name or a ')') and its optional '^ nat' are one token.  A term is built
-as a coefficient and a word; only a parenthesised factor is evaluated
-with FreePoly products and powers.  Exponents are bounded by
-freealg.check_letters, and the coefficients that literals, integer
-powers and parenthesised products build by freealg.check_bits.
+The unit of the one regular-expression scan is a plain product with its
+sign: an integer and generators, each with an optional '^ nat', with no
+space or '*' between them, such as - 3X^2YXY^2.  The integer multiplies
+the term's coefficient; the generators are split at their exponents, and
+the word of each piece (X^2, YXY^2) is built once per text.  Only a
+parenthesised factor is evaluated with FreePoly products and powers.
+Exponents and each term's word are bounded by LETTER_BUDGET, coefficients
+by freealg.check_bits.  A stray character or an unknown name, if the text
+has one, is the error raised.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ import re
 from math import ceil, log2
 
 from .freealg import (
-    LETTER_BUDGET, Alphabet, FreePoly, InputError, check_bits, check_letters, coefficient_bits
+    LETTER_BUDGET, Alphabet, FreePoly, InputError, ResourceLimit, check_bits, check_letters,
+    coefficient_bits
 )
 
 
@@ -47,74 +51,132 @@ class UnknownGenerator(InputError):
         self.position = position
 
 
-# A value (a decimal integer, a name, where \w is str.isalnum() or '_',
-# or a ')') with the digits of its optional '^ nat', or one other
-# character; whitespace matches none of them and is skipped.  A '^' not
-# followed by digits matches alone.
-_TOKEN = re.compile(r"(?:(\d+)|(\w+)|(\)))(?:\s*\^\s*(\d+))?|(\S)")
+# Compiled on first use (re caches them), so importing compiles none.  A
+# product with no space or '*' and only A-Z, a-z and '_' as letters, such
+# as 3X^2YXY^2: its integer (group 2) and its generators (3).
+_TIGHT = r"(?=\w)([0-9]*)((?:[A-Za-z_]+\^[0-9]+)*[A-Za-z_]*)(?![\w^]|\s*\^)"
+# Any other product with no space or '*' (\w is str.isalnum() or '_'): an
+# integer with its exponent (4, 5) and then names (6), or names alone (7).
+# Each is whole, with its '^ nat' or with no '^' after it.
+_INT = r"(\d+)(?!\d)(?:\s*\^\s*(\d+)|(?!\s*\^))"
+_NAME = r"[^\W\d]\w*(?!\w)(?:\s*\^\s*\d+|(?!\s*\^))"
+# A product after its sign (1), if any.  Else a ')' with its exponent (8,
+# 9) or with a '^' that no digits follow (10), a value with such a '^'
+# (11), or another character (12).
+_ITEMS = r"(?:([-+])\s*)?(?:{}|{}({})|({}))|(\))(?:\s*\^\s*(\d+)|(\s*\^\s*))?|(\w+\s*\^\s*)|(\S)"
+_SCAN_JUXTAPOSED = _ITEMS.format(_TIGHT, _INT, f"(?:{_NAME})*", f"(?:{_NAME})+")
+_SCAN_STARRED = _ITEMS.format("(?!)()()", _INT, "", _NAME)
+# An exponent in a run of generators; a token: an integer, a name or
+# another character.
+_POWER = r"\^(\d+)"
+_TOKEN = r"(\d+)|(\w+)|(\S)"
 
 
-def _tokenize(text: str, alphabet: Alphabet):
-    """The tokens of text, and the letters of each name among them.
+def check_word(length: int) -> int:
+    """length, or ResourceLimit if a term's word of that many letters
+    would exceed LETTER_BUDGET."""
+    if length > LETTER_BUDGET:
+        budget = f"above the letter budget of {LETTER_BUDGET:,}"
+        raise ResourceLimit(f"a term of {length:,} letters, {budget}")
+    return length
 
-    A token is a (kind, text, exponent, position) tuple: kind is 'int',
-    'gen', ')', 'end' or the operator character itself, and exponent is
-    the digits of a value's '^ nat' (None without one).  Over
-    single-character names, a 'gen' token is a whole run of generators,
-    such as XYXY; each name is checked against the alphabet once."""
-    index = alphabet._index
+
+def _times_int(coeff: int, digits: str, exponent: str | None) -> int:
+    """coeff * int(digits) ** exponent, each size bounded first."""
+    n = 1 if exponent is None else int(exponent)
+    check_letters(n, 0)
+    # bounded before int() runs, which refuses over 4,300 digits
+    check_bits(ceil(len(digits) * log2(10)), "integer literal")
+    base = int(digits)
+    if n != 1:
+        check_bits(n * base.bit_length(), "integer power")
+    coeff *= base**n
+    check_bits(coeff.bit_length(), "term coefficient")
+    return coeff
+
+
+def _product(m, coeff: int, length: int, alphabet: Alphabet, words: dict, split):
+    """coeff times the integer of the product that item m matched, and the
+    word of its generators; length is the term's letters before it.  A run
+    of generators such as XY^3X is split at its exponents, and its word
+    joined from the words of the pieces, which words keeps."""
+    if m.lastindex == 3:
+        digits, exponent, run = m[2], None, m[3]
+    else:
+        digits, exponent, run = m[4], m[5], m[6] or m[7]
+        run = run and "^".join(map(str.strip, run.split("^")))
+    if digits:
+        coeff = _times_int(coeff, digits, exponent)
+    if not run:
+        return coeff, ()
+    pieces = split(run)  # [generators, exponent, ..., generators]
+    pieces.append("")
+    try:
+        parts = list(map(words.__getitem__, zip(pieces[0::2], pieces[1::2])))
+        total = length + sum(map(len, parts))
+    except KeyError:  # a piece not built yet
+        total = LETTER_BUDGET + 1
+    if total > LETTER_BUDGET:
+        parts = _parts(pieces, length, alphabet, words)
+    return coeff, sum(parts, ())
+
+
+def _parts(pieces: list[str], length: int, alphabet: Alphabet, words: dict) -> list:
+    """The word of each piece of a run: its generators, the last of them to
+    its exponent, each built once and then kept in words.  The run's word
+    is bounded piece by piece, in the order of the text, before it is
+    joined; length is the term's letters before the run."""
+    parts = []
+    for names, exponent in zip(pieces[0::2], pieces[1::2]):
+        part = words.get((names, exponent))
+        if part is None:
+            n = int(exponent or 1)
+            check_letters(n, 1)
+            gens = names if alphabet.single_char else (names,) if names else ()
+            part = tuple(map(alphabet._index.__getitem__, gens))
+            part = words[names, exponent] = part[:-1] + part[-1:] * n
+        length = check_word(length + len(part))
+        parts.append(part)
+    return parts
+
+
+def _check_tokens(text: str, alphabet: Alphabet) -> None:
+    """Raise the first stray character or unknown name of text, if any."""
     letters = "".join(alphabet.names) if alphabet.single_char else None
-    runs: dict[str, tuple[int, ...]] = {}
-    tokens = []
-    append = tokens.append
-    for m in _TOKEN.finditer(text):
-        number, name, close, exponent, other = m.groups()
-        i = m.start()
-        if number:
-            append(("int", number, exponent, i))
-        elif name:
-            if name not in runs:
-                if not (name[0].isalpha() or name[0] == "_"):
-                    raise ParseError(f"unexpected character {name[0]!r}", i)
-                if letters is not None:
-                    rest = name.lstrip(letters)
-                    if rest:
-                        raise UnknownGenerator(rest[0], i + len(name) - len(rest))
-                    runs[name] = tuple(map(index.__getitem__, name))
-                elif name in index:
-                    runs[name] = (index[name],)
-                else:
-                    raise UnknownGenerator(name, i)
-            append(("gen", name, exponent, i))
-        elif close:
-            append((")", ")", exponent, i))
-        elif other in "+-*^(":
-            append((other, other, None, i))
-        else:
-            raise ParseError(f"unexpected character {other!r}", i)
-    append(("end", "", None, len(text)))
-    return tokens, runs
+    for m in re.finditer(_TOKEN, text):
+        _, name, other = m.groups()
+        if other and other not in "+-*^()" or name and not (name[0].isalpha() or name[0] == "_"):
+            raise ParseError(f"unexpected character {(other or name)[0]!r}", m.start())
+        if letters is None and name and name not in alphabet._index:
+            raise UnknownGenerator(name, m.start())
+        rest = name.lstrip(letters) if letters and name else ""
+        if rest:
+            raise UnknownGenerator(rest[0], m.end() - len(rest))
 
 
-def _term_start(tokens, i: int, sign: int) -> tuple[int, int]:
-    """The index after an optional unary '-' at tokens[i], and the sign."""
-    return (i + 1, -sign) if tokens[i][0] == "-" else (i, sign)
+def _found(text: str, m) -> tuple[str, int]:
+    """The token that item m starts with ('' at the end) and its position."""
+    if m is None:
+        return "", len(text)
+    return re.compile(_TOKEN).match(text, m.start())[0], m.start()
 
 
-def _exponent(tokens, i: int, digits: str | None) -> int:
-    """The exponent of the value before tokens[i], whose token captured
-    `digits` (1 if it has none).  A '^' token at tokens[i] matched alone,
-    so no non-negative integer follows it: an error."""
-    if digits is not None:
-        return int(digits)
-    if tokens[i][0] == "^":
-        raise ParseError("exponent must be a non-negative integer", tokens[i + 1][3])
-    return 1
+def _next_factor(items, sign: int, unary: bool):
+    """The term's sign after a unary '-', if unary allows one, and the item
+    that starts the next factor."""
+    m = next(items, None)
+    if unary and m is not None and m[12] == "-":
+        sign, m, unary = -sign, next(items, None), False
+    if m is not None and m[1]:
+        if not unary or m[1] == "+":
+            raise ParseError(f"expected a value, found {m[1]!r}", m.start())
+        sign = -sign
+    return sign, m
 
 
-def _times_word(prefix: FreePoly | None, word: list[int], alphabet: Alphabet) -> FreePoly:
+def _times_word(prefix: FreePoly | None, word: tuple[int, ...], alphabet: Alphabet) -> FreePoly:
     """prefix * word, where prefix None stands for 1."""
-    monomial = FreePoly._from_terms(alphabet, {tuple(word): 1})
+    monomial = FreePoly._from_terms(alphabet, {word: 1})
     return monomial if prefix is None else prefix * monomial
 
 
@@ -129,78 +191,80 @@ def _add_term(terms: dict, w: tuple[int, ...], c: int) -> None:
 
 def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
     """Parse an expression into an exact free polynomial."""
-    tokens, runs = _tokenize(text, alphabet)
-    juxtaposed = ("int", "gen", "(") if alphabet.single_char else ()
+    try:
+        return _parse(text, alphabet)
+    except (KeyError, ValueError):  # a KeyError is an unknown name
+        _check_tokens(text, alphabet)
+        raise
+
+
+def _parse(text: str, alphabet: Alphabet) -> FreePoly:
+    single = alphabet.single_char
+    items = re.compile(_SCAN_JUXTAPOSED if single else _SCAN_STARRED).finditer(text)
+    words: dict = {}
+    split = re.compile(_POWER).split
     # The current term is coeff * prefix * word, where prefix is the
-    # product up to its last parenthesised factor (None before one).
-    # groups holds (terms, coeff, word, prefix) of each enclosing '('.
+    # product up to its last parenthesised factor (None before one) and
+    # base its degree (0 without one).  groups holds (terms, coeff, word,
+    # prefix, base) of each enclosing '('.  A product's sign is read
+    # before the product.
     groups = []
     terms: dict = {}
-    i, coeff = _term_start(tokens, 0, 1)
-    word: list[int] = []
-    prefix = None
+    word, prefix, base = (), None, 0
+    coeff, m = _next_factor(items, 1, True)
     while True:
-        kind, tok, digits, position = tokens[i]
-        i += 1
-        if kind == "(":
-            groups.append((terms, coeff, word, prefix))
-            terms, word, prefix = {}, [], None
-            i, coeff = _term_start(tokens, i, 1)
-            continue
-        if kind == "gen":
-            letters = runs[tok]
-            if digits is not None:
-                # the letter budget, as check_letters(n, 1) tests it, inline
-                # because most tokens of a long text pass here
-                n = int(digits)
-                if n > LETTER_BUDGET:
-                    check_letters(n, 1)
-                # the exponent binds to the last letter of a run
-                letters = letters[:-1] + letters[-1:] * n
-            elif tokens[i][0] == "^":
-                _exponent(tokens, i, None)  # raises: no digits after the '^'
+        kind = m.lastindex if m is not None else 0
+        if 0 < kind <= 7:  # a product
+            coeff, letters = _product(m, coeff, base + len(word), alphabet, words, split)
             word += letters
-        elif kind == "int":
-            n = _exponent(tokens, i, digits)
-            check_letters(n, 0)
-            # bounded before int() runs, which refuses over 4,300 digits
-            check_bits(ceil(len(tok) * log2(10)), "integer literal")
-            base = int(tok)
-            if n != 1:
-                check_bits(n * base.bit_length(), "integer power")
-            coeff *= base**n
-            check_bits(coeff.bit_length(), "term coefficient")
+        elif kind == 12 and m[12] == "(":
+            groups.append((terms, coeff, word, prefix, base))
+            terms, word, prefix, base = {}, (), None, 0
+            coeff, m = _next_factor(items, 1, True)
+            continue
+        elif kind == 11:
+            raise ParseError("exponent must be a non-negative integer", m.end())
         else:
+            tok, position = _found(text, m)
             raise ParseError(f"expected a value, found {tok!r}", position)
+        m = next(items, None)
 
         while True:  # after a factor
-            kind, tok, digits, position = tokens[i]
-            if kind == "*":
-                i += 1
+            kind = m.lastindex if m is not None else 0
+            op = m[12] if kind == 12 else m[1] if 0 < kind <= 7 else None
+            if op == "*":
+                coeff, m = _next_factor(items, coeff, False)
                 break
-            if kind in juxtaposed:
+            if single and (op is None and (0 < kind <= 7 or kind == 11) or op == "("):
                 break
             if prefix is None:
-                _add_term(terms, tuple(word), coeff)
+                _add_term(terms, word, coeff)
             else:
                 check_bits(coeff.bit_length() + coefficient_bits(prefix), "term coefficient")
                 for w, c in _times_word(prefix, word, alphabet)._terms.items():
                     _add_term(terms, w, coeff * c)
-            if kind == "+" or kind == "-":
-                i, coeff = _term_start(tokens, i + 1, -1 if kind == "-" else 1)
-                word, prefix = [], None
+            if op == "+" or op == "-":
+                coeff = -1 if op == "-" else 1
+                if kind == 12:
+                    coeff, m = _next_factor(items, coeff, True)
+                word, prefix, base = (), None, 0
                 break
-            if kind == ")" and groups:
+            if 8 <= kind <= 10 and groups:
                 inner = FreePoly._from_terms(alphabet, terms)
-                terms, coeff, word, prefix = groups.pop()
-                i += 1
-                n = _exponent(tokens, i, digits)
-                prefix = _times_word(prefix, word, alphabet) * (inner if n == 1 else inner**n)
+                terms, coeff, word, prefix, base = groups.pop()
+                if kind == 10:
+                    raise ParseError("exponent must be a non-negative integer", m.end())
+                n = int(m[9]) if kind == 9 else 1
+                power = inner if n == 1 else inner**n
+                check_word(base + len(word) + max(power.degree, 0))
+                prefix = _times_word(prefix, word, alphabet) * power
                 check_bits(coefficient_bits(prefix), "coefficients of a parenthesised product")
-                word = []
+                word, base = (), max(prefix.degree, 0)
+                m = next(items, None)
                 continue
+            tok, position = _found(text, m)
             if groups:
                 raise ParseError(f"expected ')', found {tok!r}", position)
-            if kind != "end":
+            if m is not None:
                 raise ParseError(f"trailing input {tok!r}", position)
             return FreePoly._from_terms(alphabet, terms)

@@ -2,14 +2,18 @@
 one token per integer, name, operator and '^', read by a loop that looks
 for a '^' after every value.  Kept as an oracle for the differential tests
 in test_parser.py; parse_poly here must agree with ncwitt.parse_poly on
-every text, in value or in exception type, message and position."""
+every text, in value or in exception type, message and position.  It
+has one check the first version lacked: the letter budget bounds the word
+of each term, plain or through parenthesised products (check_word)."""
 
 from __future__ import annotations
 
 import re
 from math import ceil, log2
 
-from ncwitt.freealg import Alphabet, FreePoly, check_bits, check_letters, coefficient_bits
+from ncwitt.freealg import (
+    LETTER_BUDGET, Alphabet, FreePoly, ResourceLimit, check_bits, check_letters, coefficient_bits
+)
 from ncwitt.parser import ParseError, UnknownGenerator
 
 
@@ -47,6 +51,13 @@ def _tokenize(text: str, alphabet: Alphabet) -> list[tuple[str, str, int]]:
             raise UnknownGenerator(name, i)
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def check_word(length: int) -> None:
+    if length > LETTER_BUDGET:
+        raise ResourceLimit(
+            f"a term of {length:,} letters, above the letter budget of {LETTER_BUDGET:,}"
+        )
 
 
 def _term_start(tokens, i: int, sign: int) -> tuple[int, int]:
@@ -104,9 +115,12 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
         if kind == "gen":
             letters = (index[tok],) if tok in index else tuple(map(index.__getitem__, tok))
             n, i = _exponent(tokens, i)
+            check_letters(n, 1)
+            # the term's letters, bounded before the word grows
+            base = 0 if prefix is None else max(prefix.degree, 0)
+            check_word(base + len(word) + len(letters) - 1 + n)
             if n != 1:
                 # the exponent binds to the last letter of a run
-                check_letters(n, 1)
                 letters = letters[:-1] + letters[-1:] * n
             word += letters
         elif kind == "int":
@@ -140,7 +154,10 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
                 inner = FreePoly._from_terms(alphabet, terms)
                 terms, coeff, word, prefix = groups.pop()
                 n, i = _exponent(tokens, i + 1)
-                prefix = _times_word(prefix, word, alphabet) * (inner if n == 1 else inner**n)
+                power = inner if n == 1 else inner**n
+                base = 0 if prefix is None else max(prefix.degree, 0)
+                check_word(base + len(word) + max(power.degree, 0))
+                prefix = _times_word(prefix, word, alphabet) * power
                 check_bits(coefficient_bits(prefix), "coefficients of a parenthesised product")
                 word = []
                 continue

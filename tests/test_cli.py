@@ -271,6 +271,12 @@ class TestResourceGuard:
         assert code == 1
         assert "at least 18,446,744,073,709,551,616" in err
 
+    def test_long_word_is_refused(self, capture):
+        # each power is within the letter budget, their product is not
+        code, out, err = capture("abelianize", "X^4096" * 3)
+        assert (code, out) == (1, "")
+        assert err == "error: a term of 8,192 letters, above the letter budget of 4,096"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("p", ["1", "4", "6"])

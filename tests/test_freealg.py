@@ -1,6 +1,7 @@
 from itertools import groupby
 
 import pytest
+from test_cdwitt import reduce_mod
 
 from ncwitt import (
     Alphabet,
@@ -204,16 +205,18 @@ class TestPhiMap:
 
 
 class TestReduceMod:
+    # the reduction mod m that the H-membership oracle of test_cdwitt rests on
+
     def test_drops_even(self, ab, X, Y):
         f = 2 * FreePoly.monomial(ab, (0, 1, 0, 1)) + Y * X
-        assert f.reduce_mod(2) == Y * X
+        assert reduce_mod(f, 2) == Y * X
 
     def test_canonical_representative(self, X):
-        assert (3 * X).reduce_mod(2) == X
+        assert reduce_mod(3 * X, 2) == X
 
     def test_negative_coefficient(self, ab):
         f = FreePoly.monomial(ab, (0, 1, 0, 1), -1)
-        assert f.reduce_mod(2) == FreePoly.monomial(ab, (0, 1, 0, 1), 1)
+        assert reduce_mod(f, 2) == FreePoly.monomial(ab, (0, 1, 0, 1), 1)
 
 
 class TestDegreeAndAxioms:

@@ -1,4 +1,7 @@
 import random
+import re
+import tracemalloc
+from pathlib import Path
 
 import parser_oracle
 import pytest
@@ -7,6 +10,11 @@ from hypothesis import strategies as st
 
 from ncwitt import Alphabet, FreePoly, ParseError, ResourceLimit, UnknownGenerator, parse_poly
 from ncwitt.verify import sample_poly
+
+# r_4 of `ncwitt rmap --level 5 XY-YX`: 4,115 terms of degree 32
+GOLDEN_R4 = (
+    (Path(__file__).parent / "golden" / "rmap_l5.txt").read_text().strip()[1:-1].split(", ")[-1]
+)
 
 
 class TestParsing:
@@ -112,6 +120,36 @@ class TestErrors:
         assert parse_poly(str(f), ab) == f
 
 
+class TestWordBudget:
+    # the letter budget bounds the word of each term, however it is written
+
+    @pytest.mark.parametrize(
+        "text",
+        ["X^4096", "X^4095Y", "X^2048X^2048", "X^2048 * X^2048", "(X^2048)(X^2048)",
+         "X^4000(X^96)", "(X^4095)Y", "(X^2048)^2"],
+    )
+    def test_at_the_budget(self, ab, text):
+        assert parse_poly(text, ab).degree == 4096
+
+    def test_zero_factor_at_the_budget(self, ab):
+        assert parse_poly("(0)X^4096", ab).is_zero()
+
+    @pytest.mark.parametrize(
+        "text",
+        ["X^4096Y", "X^2048X^2049", "X^2048 * X^2049", "(X^2048)(X^2049)", "X^4000(X^97)",
+         "(X^4096)Y", "Y(X^4096)", "(0)X^4096X", "XY^4096"],
+    )
+    def test_past_the_budget(self, ab, text):
+        message = "^a term of 4,097 letters, above the letter budget of 4,096$"
+        with pytest.raises(ResourceLimit, match=message):
+            parse_poly(text, ab)
+
+    def test_refused_before_the_word_is_built(self, ab):
+        # 384 characters that would spell 262,144 letters
+        with pytest.raises(ResourceLimit, match="^a term of 8,192 letters"):
+            parse_poly("X^4096" * 64, ab)
+
+
 class TestMultiCharAlphabet:
     def test_requires_star(self):
         ab = Alphabet(["Ab", "Cd"])
@@ -198,7 +236,8 @@ class TestAgainstOracle:
     @pytest.mark.parametrize(
         "text",
         ["X^", "X^Y", "X^2^3", "2^3^4", "(X)^", ")^2", "X ^ 2", "X^²", "(X+Y",
-         "(X)^2^3", "X^^2", "X^ \t3Y", "X^٣", "-(X-Y)^2X"],
+         "(X)^2^3", "X^^2", "X^ \t3Y", "X^٣", "-(X-Y)^2X", "X^4096X", "X^4096X@",
+         "(X^4096)(Y)", "X^4097Y^5000", "(X^2048)(X^2049)Q", "XY^0", "X^0Q", "Ab^0Q"],
     )
     def test_listed_texts(self, text):
         for alphabet in ORACLE_ALPHABETS:
@@ -220,3 +259,63 @@ class TestAgainstOracle:
     @given(st.sampled_from(ORACLE_ALPHABETS), st.randoms(use_true_random=False), st.integers(0, 16))
     def test_property(self, alphabet, rng, length):
         assert_agrees_with_oracle(random_text(rng, alphabet, length), alphabet)
+
+    def test_rmap_output(self):
+        assert_agrees_with_oracle(GOLDEN_R4, Alphabet(["X", "Y"]))
+
+    def test_formatted_polynomials_respaced(self):
+        rng = random.Random(3401)
+        for _ in range(300):
+            alphabet = rng.choice(ORACLE_ALPHABETS)
+            f = sample_poly(rng, alphabet, 8, 8, coeff_bound=200)
+            text = respace(rng, str(f), alphabet)
+            assert parse_poly(text, alphabet) == f, text
+            assert_agrees_with_oracle(text, alphabet)
+
+    def test_sums_of_products_of_long_names(self):
+        # juxtaposed names (AbCd, Ab Cd, 2Ab) are refused, at the same place
+        rng = random.Random(3402)
+        alphabet = Alphabet(["Ab", "Cd", "E"])
+        valid = 0
+        for _ in range(1000):
+            products = [long_name_product(rng) for _ in range(rng.randint(1, 6))]
+            text = rng.choice(["", "-"]) + " + ".join(products)
+            expected = outcome(parser_oracle.parse_poly, text, alphabet)
+            assert outcome(parse_poly, text, alphabet) == expected, text
+            valid += isinstance(expected, FreePoly)
+        assert 100 < valid < 900
+
+
+def respace(rng, text, alphabet):
+    """text with whitespace around each '^' and '*' and, over single-character
+    names, a '*' or whitespace or nothing before each letter that follows a
+    value."""
+    def gap(choices):
+        return lambda m: rng.choice(choices) + m[0].strip() + rng.choice(choices)
+
+    text = re.sub(r"\s*[*^]\s*", gap(["", " ", "\t"]), text)
+    if alphabet.single_char:
+        text = re.sub(r"(?<=\w)(?=[^\W\d])", lambda m: rng.choice(["", "", "*", " * ", " "]), text)
+    return text
+
+
+def long_name_product(rng):
+    factors = [
+        rng.choice(["Ab", "Cd", "E", "2", "13"]) + rng.choice(["", "", "^2", " ^ 3"])
+        for _ in range(rng.randint(1, 6))
+    ]
+    return factors[0] + "".join(rng.choice(["*"] * 12 + [" * ", "", " "]) + f for f in factors[1:])
+
+
+def test_parse_keeps_no_copy_per_token():
+    # a list of tokens would cost several times the polynomial it spells
+    ab = Alphabet(["X", "Y"])
+    parse_poly(GOLDEN_R4, ab)  # compiles the patterns once
+    tracemalloc.start()
+    try:
+        f = parse_poly(GOLDEN_R4, ab)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(f) == 4115
+    assert peak <= 2 * retained
