@@ -12,15 +12,12 @@ generator name is a single character; multi-character alphabets require
 explicit '*'.  str(FreePoly) is the inverse: parsing a formatted
 polynomial returns it exactly.
 
-The unit of the one regular-expression scan is a plain product with its
-sign: an integer and generators, each with an optional '^ nat', with no
-space or '*' between them, such as - 3X^2YXY^2.  The integer multiplies
-the term's coefficient; the generators are split at their exponents, and
-the word of each piece (X^2, YXY^2) is built once per text.  Only a
-parenthesised factor is evaluated with FreePoly products and powers.
-Exponents and each term's word are bounded by LETTER_BUDGET, coefficients
-by freealg.check_bits.  A stray character or an unknown name, if the text
-has one, is the error raised.
+The unit of the one regular-expression scan is a plain product after its
+sign, such as - 3X^2YXY^2: its pieces (X^2, YXY^2) are found by one more
+match, and the word of a short piece is built once.  Only parenthesised
+factors take FreePoly products.  Exponents and each term's word are bounded
+by LETTER_BUDGET, coefficients by check_bits; a stray character or unknown
+name, if the text has one, is the error raised.
 """
 
 from __future__ import annotations
@@ -51,125 +48,78 @@ class UnknownGenerator(InputError):
         self.position = position
 
 
-# Compiled on first use (re caches them), so importing compiles none.  A
-# product with no space or '*' and only A-Z, a-z and '_' as letters, such
-# as 3X^2YXY^2: its integer (group 2) and its generators (3).
-_TIGHT = r"(?=\w)([0-9]*)((?:[A-Za-z_]+\^[0-9]+)*[A-Za-z_]*)(?![\w^]|\s*\^)"
-# Any other product with no space or '*' (\w is str.isalnum() or '_'): an
-# integer with its exponent (4, 5) and then names (6), or names alone (7).
-# Each is whole, with its '^ nat' or with no '^' after it.
-_INT = r"(\d+)(?!\d)(?:\s*\^\s*(\d+)|(?!\s*\^))"
-_NAME = r"[^\W\d]\w*(?!\w)(?:\s*\^\s*\d+|(?!\s*\^))"
-# A product after its sign (1), if any.  Else a ')' with its exponent (8,
-# 9) or with a '^' that no digits follow (10), a value with such a '^'
-# (11), or another character (12).
-_ITEMS = r"(?:([-+])\s*)?(?:{}|{}({})|({}))|(\))(?:\s*\^\s*(\d+)|(\s*\^\s*))?|(\w+\s*\^\s*)|(\S)"
-_SCAN_JUXTAPOSED = _ITEMS.format(_TIGHT, _INT, f"(?:{_NAME})*", f"(?:{_NAME})+")
-_SCAN_STARRED = _ITEMS.format("(?!)()()", _INT, "", _NAME)
-# An exponent in a run of generators; a token: an integer, a name or
-# another character.
-_POWER = r"\^(\d+)"
+# Compiled on first use.  An integer, and a run of generators: the
+# alphabet's letters (any other letter ends the run, and the text is then
+# refused), or one name after no integer.  Each is whole, with its '^ nat'
+# or with no '^' after it; \w is str.isalnum() or '_'.
+_INT = r"(?P<int>\d+)(?!\d)(?:\s*\^\s*(?P<exp>\d+)|(?!\s*\^))"
+_LETTERS = r"(?:[{0}]+\s*\^\s*\d+)*(?:[{0}]+(?!\w|\s*\^))?"
+_NAME = r"(?(int)|[^\W\d]\w*(?:\s*\^\s*\d+|(?!\w|\s*\^)))"
+# An item: a product after its sign, if any; a ')' with its exponent, or
+# with a '^' that no digits follow; a value with such a '^'; or another.
+_ITEM = (
+    r"(?:(?P<sign>[-+])\s*)?(?=\w)(?:{})?(?P<run>{})(?<=\w)"
+    r"|(?P<close>\)(?:\s*\^\s*(?P<cexp>\d+)|(?P<badexp>\s*\^\s*))?)"
+    r"|(?P<badval>\w+\s*\^\s*)|(?P<op>\S)"
+)
+# A piece of a run, such as YXY^2; a token of the text.
+_PIECE = r"[^^]+(?:\^\s*\d+)?"
 _TOKEN = r"(\d+)|(\w+)|(\S)"
 
 
-def check_word(length: int) -> int:
-    """length, or ResourceLimit if a term's word of that many letters
-    would exceed LETTER_BUDGET."""
+def check_word(length: int) -> None:
+    """Raise ResourceLimit if a term's word of length letters passes LETTER_BUDGET."""
     if length > LETTER_BUDGET:
         budget = f"above the letter budget of {LETTER_BUDGET:,}"
         raise ResourceLimit(f"a term of {length:,} letters, {budget}")
-    return length
 
 
-def _times_int(coeff: int, digits: str, exponent: str | None) -> int:
-    """coeff * int(digits) ** exponent, each size bounded first."""
-    n = 1 if exponent is None else int(exponent)
-    check_letters(n, 0)
-    # bounded before int() runs, which refuses over 4,300 digits
-    check_bits(ceil(len(digits) * log2(10)), "integer literal")
-    base = int(digits)
-    if n != 1:
+def _product(m, coeff: int, length: int, alphabet: Alphabet, words: dict, pieces_of):
+    """coeff times the integer of product m, and the word of its run, each
+    size bounded before it is built; length is the term's letters before
+    it.  words keeps up to LETTER_BUDGET // 32 pieces of at most 32 letters."""
+    if m["int"]:
+        n = int(m["exp"] or 1)
+        check_letters(n, 0)
+        # before int() runs, which refuses over 4,300 digits
+        check_bits(ceil(len(m["int"]) * log2(10)), "integer literal")
+        base = int(m["int"])
         check_bits(n * base.bit_length(), "integer power")
-    coeff *= base**n
-    check_bits(coeff.bit_length(), "term coefficient")
-    return coeff
-
-
-def _product(m, coeff: int, length: int, alphabet: Alphabet, words: dict, split):
-    """coeff times the integer of the product that item m matched, and the
-    word of its generators; length is the term's letters before it.  A run
-    of generators such as XY^3X is split at its exponents, and its word
-    joined from the words of the pieces, which words keeps."""
-    if m.lastindex == 3:
-        digits, exponent, run = m[2], None, m[3]
-    else:
-        digits, exponent, run = m[4], m[5], m[6] or m[7]
-        run = run and "^".join(map(str.strip, run.split("^")))
-    if digits:
-        coeff = _times_int(coeff, digits, exponent)
-    if not run:
-        return coeff, ()
-    pieces = split(run)  # [generators, exponent, ..., generators]
-    pieces.append("")
-    try:
-        parts = list(map(words.__getitem__, zip(pieces[0::2], pieces[1::2])))
-        total = length + sum(map(len, parts))
-    except KeyError:  # a piece not built yet
-        total = LETTER_BUDGET + 1
-    if total > LETTER_BUDGET:
-        parts = _parts(pieces, length, alphabet, words)
+        coeff *= base**n
+        check_bits(coeff.bit_length(), "term coefficient")
+    pieces = pieces_of(m["run"])
+    parts = list(map(words.get, pieces))
+    if None in parts or sum(map(len, parts)) > LETTER_BUDGET - length:
+        for i, piece in enumerate(pieces):
+            if parts[i] is None:
+                names, _, exponent = piece.partition("^")
+                n = int(exponent or 1)
+                check_letters(n, 1)
+                gens = names.rstrip() if alphabet.single_char else (names.rstrip(),)
+                part = tuple(map(alphabet._index.__getitem__, gens))
+                parts[i] = part[:-1] + part[-1:] * n  # the exponent binds to the last letter
+                if len(parts[i]) <= 32 and len(words) < LETTER_BUDGET // 32:
+                    words[piece] = parts[i]
+            length += len(parts[i])
+            check_word(length)
     return coeff, sum(parts, ())
 
 
-def _parts(pieces: list[str], length: int, alphabet: Alphabet, words: dict) -> list:
-    """The word of each piece of a run: its generators, the last of them to
-    its exponent, each built once and then kept in words.  The run's word
-    is bounded piece by piece, in the order of the text, before it is
-    joined; length is the term's letters before the run."""
-    parts = []
-    for names, exponent in zip(pieces[0::2], pieces[1::2]):
-        part = words.get((names, exponent))
-        if part is None:
-            n = int(exponent or 1)
-            check_letters(n, 1)
-            gens = names if alphabet.single_char else (names,) if names else ()
-            part = tuple(map(alphabet._index.__getitem__, gens))
-            part = words[names, exponent] = part[:-1] + part[-1:] * n
-        length = check_word(length + len(part))
-        parts.append(part)
-    return parts
-
-
-def _check_tokens(text: str, alphabet: Alphabet) -> None:
-    """Raise the first stray character or unknown name of text, if any."""
-    letters = "".join(alphabet.names) if alphabet.single_char else None
-    for m in re.finditer(_TOKEN, text):
-        _, name, other = m.groups()
-        if other and other not in "+-*^()" or name and not (name[0].isalpha() or name[0] == "_"):
-            raise ParseError(f"unexpected character {(other or name)[0]!r}", m.start())
-        if letters is None and name and name not in alphabet._index:
-            raise UnknownGenerator(name, m.start())
-        rest = name.lstrip(letters) if letters and name else ""
-        if rest:
-            raise UnknownGenerator(rest[0], m.end() - len(rest))
-
-
-def _found(text: str, m) -> tuple[str, int]:
-    """The token that item m starts with ('' at the end) and its position."""
-    if m is None:
-        return "", len(text)
-    return re.compile(_TOKEN).match(text, m.start())[0], m.start()
+def _unexpected(what: str, text: str, m) -> ParseError:
+    """A ParseError: what, then the token at item m ('' at the end)."""
+    i = m.start() if m else len(text)
+    return ParseError(f"{what} {(re.compile(_TOKEN).match(text, i) or [''])[0]!r}", i)
 
 
 def _next_factor(items, sign: int, unary: bool):
     """The term's sign after a unary '-', if unary allows one, and the item
     that starts the next factor."""
     m = next(items, None)
-    if unary and m is not None and m[12] == "-":
+    if unary and m and m["op"] == "-":
         sign, m, unary = -sign, next(items, None), False
-    if m is not None and m[1]:
-        if not unary or m[1] == "+":
-            raise ParseError(f"expected a value, found {m[1]!r}", m.start())
+    if m and m["sign"]:
+        if not unary or m["sign"] == "+":
+            raise ParseError(f"expected a value, found {m['sign']!r}", m.start())
         sign = -sign
     return sign, m
 
@@ -194,48 +144,55 @@ def parse_poly(text: str, alphabet: Alphabet) -> FreePoly:
     try:
         return _parse(text, alphabet)
     except (KeyError, ValueError):  # a KeyError is an unknown name
-        _check_tokens(text, alphabet)
+        # the first stray character or unknown name, if any, comes first
+        letters = "".join(alphabet.names) if alphabet.single_char else None
+        for m in re.finditer(_TOKEN, text):
+            _, name, other = m.groups()
+            if other and other not in "+-*^()" or name and not name[0].isalpha() and name[0] != "_":
+                raise ParseError(f"unexpected character {(other or name)[0]!r}", m.start())
+            if letters is None and name and name not in alphabet._index:
+                raise UnknownGenerator(name, m.start())
+            rest = name.lstrip(letters) if letters and name else ""
+            if rest:
+                raise UnknownGenerator(rest[0], m.end() - len(rest))
         raise
 
 
 def _parse(text: str, alphabet: Alphabet) -> FreePoly:
     single = alphabet.single_char
-    items = re.compile(_SCAN_JUXTAPOSED if single else _SCAN_STARRED).finditer(text)
-    words: dict = {}
-    split = re.compile(_POWER).split
+    run = _LETTERS.format(re.escape("".join(alphabet.names))) if single else _NAME
+    items = re.compile(_ITEM.format(_INT, run)).finditer(text)
+    pieces_of = re.compile(_PIECE).findall
     # The current term is coeff * prefix * word, where prefix is the
     # product up to its last parenthesised factor (None before one) and
     # base its degree (0 without one).  groups holds (terms, coeff, word,
-    # prefix, base) of each enclosing '('.  A product's sign is read
-    # before the product.
-    groups = []
-    terms: dict = {}
+    # prefix, base) of each enclosing '('.  words keeps short pieces.
+    groups, terms, words = [], {}, {}
     word, prefix, base = (), None, 0
     coeff, m = _next_factor(items, 1, True)
     while True:
-        kind = m.lastindex if m is not None else 0
-        if 0 < kind <= 7:  # a product
-            coeff, letters = _product(m, coeff, base + len(word), alphabet, words, split)
+        kind = m and m.lastgroup
+        if kind == "run":
+            coeff, letters = _product(m, coeff, base + len(word), alphabet, words, pieces_of)
             word += letters
-        elif kind == 12 and m[12] == "(":
+        elif kind == "op" and m["op"] == "(":
             groups.append((terms, coeff, word, prefix, base))
             terms, word, prefix, base = {}, (), None, 0
             coeff, m = _next_factor(items, 1, True)
             continue
-        elif kind == 11:
+        elif kind == "badval":
             raise ParseError("exponent must be a non-negative integer", m.end())
         else:
-            tok, position = _found(text, m)
-            raise ParseError(f"expected a value, found {tok!r}", position)
+            raise _unexpected("expected a value, found", text, m)
         m = next(items, None)
 
         while True:  # after a factor
-            kind = m.lastindex if m is not None else 0
-            op = m[12] if kind == 12 else m[1] if 0 < kind <= 7 else None
+            kind = m and m.lastgroup
+            op = m["op"] if kind == "op" else m["sign"] if kind == "run" else None
             if op == "*":
                 coeff, m = _next_factor(items, coeff, False)
                 break
-            if single and (op is None and (0 < kind <= 7 or kind == 11) or op == "("):
+            if single and (op is None and kind in ("run", "badval") or op == "("):
                 break
             if prefix is None:
                 _add_term(terms, word, coeff)
@@ -243,18 +200,18 @@ def _parse(text: str, alphabet: Alphabet) -> FreePoly:
                 check_bits(coeff.bit_length() + coefficient_bits(prefix), "term coefficient")
                 for w, c in _times_word(prefix, word, alphabet)._terms.items():
                     _add_term(terms, w, coeff * c)
+            word, prefix, base = (), None, 0
             if op == "+" or op == "-":
                 coeff = -1 if op == "-" else 1
-                if kind == 12:
+                if kind == "op":
                     coeff, m = _next_factor(items, coeff, True)
-                word, prefix, base = (), None, 0
                 break
-            if 8 <= kind <= 10 and groups:
+            if kind == "close" and groups:
                 inner = FreePoly._from_terms(alphabet, terms)
                 terms, coeff, word, prefix, base = groups.pop()
-                if kind == 10:
+                if m["badexp"]:
                     raise ParseError("exponent must be a non-negative integer", m.end())
-                n = int(m[9]) if kind == 9 else 1
+                n = int(m["cexp"] or 1)
                 power = inner if n == 1 else inner**n
                 check_word(base + len(word) + max(power.degree, 0))
                 prefix = _times_word(prefix, word, alphabet) * power
@@ -262,9 +219,8 @@ def _parse(text: str, alphabet: Alphabet) -> FreePoly:
                 word, base = (), max(prefix.degree, 0)
                 m = next(items, None)
                 continue
-            tok, position = _found(text, m)
             if groups:
-                raise ParseError(f"expected ')', found {tok!r}", position)
-            if m is not None:
-                raise ParseError(f"trailing input {tok!r}", position)
+                raise _unexpected("expected ')', found", text, m)
+            if m:
+                raise _unexpected("trailing input", text, m)
             return FreePoly._from_terms(alphabet, terms)

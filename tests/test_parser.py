@@ -319,3 +319,19 @@ def test_parse_keeps_no_copy_per_token():
         tracemalloc.stop()
     assert len(f) == 4115
     assert peak <= 2 * retained
+
+
+def test_parse_of_cancelling_terms_keeps_no_word_per_term():
+    # each term's word is dropped once it is added, and the kept pieces are
+    # short: the peak stays near one word of LETTER_BUDGET letters (32 KB)
+    ab = Alphabet(["X", "Y"])
+    text = "0" + "".join(f"+X^{n}-X^{n}" for n in range(4096, 96, -1))
+    parse_poly("X", ab)  # compiles the patterns once
+    tracemalloc.start()
+    try:
+        f = parse_poly(text, ab)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 50_000 and f == FreePoly.zero(ab)
+    assert peak < 1_000_000
