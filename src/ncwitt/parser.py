@@ -74,10 +74,11 @@ def check_word(length: int) -> None:
         raise ResourceLimit(f"a term of {length:,} letters, {budget}")
 
 
-def _product(m, coeff: int, length: int, alphabet: Alphabet, words: dict, pieces_of):
-    """coeff times the integer of product m, and the word of its run, each
-    size bounded before it is built; length is the term's letters before
-    it.  words keeps up to LETTER_BUDGET // 32 pieces of at most 32 letters."""
+def _product(m, coeff: int, word: list, length: int, alphabet: Alphabet, words: dict, pieces_of):
+    """coeff times the integer of product m; the word of its run is added
+    to word, each size bounded before it is built.  length is the term's
+    letters so far.  words keeps up to LETTER_BUDGET // 32 pieces of at
+    most 32 letters."""
     if m["int"]:
         n = int(m["exp"] or 1)
         check_letters(n, 0)
@@ -102,7 +103,9 @@ def _product(m, coeff: int, length: int, alphabet: Alphabet, words: dict, pieces
                     words[piece] = parts[i]
             length += len(parts[i])
             check_word(length)
-    return coeff, sum(parts, ())
+    for part in parts:
+        word += part
+    return coeff
 
 
 def _unexpected(what: str, text: str, m) -> ParseError:
@@ -124,9 +127,9 @@ def _next_factor(items, sign: int, unary: bool):
     return sign, m
 
 
-def _times_word(prefix: FreePoly | None, word: tuple[int, ...], alphabet: Alphabet) -> FreePoly:
+def _times_word(prefix: FreePoly | None, word: list[int], alphabet: Alphabet) -> FreePoly:
     """prefix * word, where prefix None stands for 1."""
-    monomial = FreePoly._from_terms(alphabet, {word: 1})
+    monomial = FreePoly._from_terms(alphabet, {tuple(word): 1})
     return monomial if prefix is None else prefix * monomial
 
 
@@ -168,16 +171,15 @@ def _parse(text: str, alphabet: Alphabet) -> FreePoly:
     # base its degree (0 without one).  groups holds (terms, coeff, word,
     # prefix, base) of each enclosing '('.  words keeps short pieces.
     groups, terms, words = [], {}, {}
-    word, prefix, base = (), None, 0
+    word, prefix, base = [], None, 0
     coeff, m = _next_factor(items, 1, True)
     while True:
         kind = m and m.lastgroup
         if kind == "run":
-            coeff, letters = _product(m, coeff, base + len(word), alphabet, words, pieces_of)
-            word += letters
+            coeff = _product(m, coeff, word, base + len(word), alphabet, words, pieces_of)
         elif kind == "op" and m["op"] == "(":
             groups.append((terms, coeff, word, prefix, base))
-            terms, word, prefix, base = {}, (), None, 0
+            terms, word, prefix, base = {}, [], None, 0
             coeff, m = _next_factor(items, 1, True)
             continue
         elif kind == "badval":
@@ -195,12 +197,12 @@ def _parse(text: str, alphabet: Alphabet) -> FreePoly:
             if single and (op is None and kind in ("run", "badval") or op == "("):
                 break
             if prefix is None:
-                _add_term(terms, word, coeff)
+                _add_term(terms, tuple(word), coeff)
             else:
                 check_bits(coeff.bit_length() + coefficient_bits(prefix), "term coefficient")
                 for w, c in _times_word(prefix, word, alphabet)._terms.items():
                     _add_term(terms, w, coeff * c)
-            word, prefix, base = (), None, 0
+            word, prefix, base = [], None, 0
             if op == "+" or op == "-":
                 coeff = -1 if op == "-" else 1
                 if kind == "op":
@@ -216,7 +218,7 @@ def _parse(text: str, alphabet: Alphabet) -> FreePoly:
                 check_word(base + len(word) + max(power.degree, 0))
                 prefix = _times_word(prefix, word, alphabet) * power
                 check_bits(coefficient_bits(prefix), "coefficients of a parenthesised product")
-                word, base = (), max(prefix.degree, 0)
+                word, base = [], max(prefix.degree, 0)
                 m = next(items, None)
                 continue
             if groups:
