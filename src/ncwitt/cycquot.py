@@ -19,10 +19,7 @@ from .freealg import (
     SparseCombination,
     Word,
     capped_power,
-    check_bits,
-    check_budget,
-    check_letters,
-    coefficient_bits,
+    check_power,
     format_word,
     words_within_degree,
 )
@@ -143,8 +140,7 @@ def trace_power(f: FreePoly, n: int) -> AbelPoly:
     its d rotations are d sequences of terms whose products are rotations
     of one another, so they add d * (prod of coefficients)^(n/d) to the
     class least_rotation(concatenation of l)^(n/d).  Raises ResourceLimit
-    when the chosen path's bound exceeds TERM_BUDGET, its words
-    LETTER_BUDGET, or its coefficients COEFF_BIT_BUDGET.
+    where f ** n, or check_power on the necklaces, refuses the chosen path.
 
     Each class for n >= 2 is computed once per polynomial object: f
     keeps it, and the same object asking again for the same n gets the
@@ -152,7 +148,7 @@ def trace_power(f: FreePoly, n: int) -> AbelPoly:
     its own.
     """
     if n < 2:
-        return abelianize(f if n == 1 else f ** n)
+        return abelianize(f ** n)
     try:
         traces = f._traces
     except AttributeError:
@@ -167,7 +163,7 @@ def _trace_power(f: FreePoly, n: int) -> AbelPoly:
     """trace_power(f, n) for n >= 2, computed anew."""
     k = len(f)
     if k < 2:
-        # no more words than necklaces
+        # no more words than necklaces; and necklace_count(1, n) takes n steps
         return abelianize(f ** n)
     words = capped_power(k, n)
     # k^n saturates only for n >= 64, where N(k, n) is far past the
@@ -177,12 +173,7 @@ def _trace_power(f: FreePoly, n: int) -> AbelPoly:
         words = min(words, words_within_degree(f, n))
     if words <= necklaces:
         return abelianize(f ** n)
-    check_budget(necklaces, f"classes of the trace of a {k}-term polynomial to the power {n}")
-    check_letters(n, f.degree)
-    check_bits(
-        n * coefficient_bits(f),
-        f"coefficients of the trace of a {k}-term polynomial to the power {n}",
-    )
+    check_power(f, n, necklaces, trace=True)
 
     term_words, coeffs = zip(*f._terms.items())
     terms: dict[Word, int] = {}

@@ -98,6 +98,20 @@ def coefficient_bits(f: "SparseCombination") -> int:
     return sum(map(abs, f._terms.values())).bit_length()
 
 
+def check_power(f: "FreePoly", n: int, count: int, trace: bool = False) -> None:
+    """Raise ResourceLimit, naming the bound, if f ** n (its trace, if trace is
+    set) may pass a budget, checked in this order: count, its terms or classes,
+    TERM_BUDGET; max(n, n * deg f), LETTER_BUDGET; n * coefficient_bits(f), COEFF_BIT_BUDGET."""
+    if count > TERM_BUDGET:
+        what = "classes of the trace" if trace else "terms"
+        check_budget(count, f"{what} of a {len(f)}-term polynomial to the power {n}")
+    check_letters(n, f.degree)
+    bits = n * coefficient_bits(f)
+    if bits > COEFF_BIT_BUDGET:
+        what = "the trace of a" if trace else "a"
+        check_bits(bits, f"coefficients of {what} {len(f)}-term polynomial to the power {n}")
+
+
 class AlphabetMismatch(ValueError):
     """Raised when combining polynomials over different alphabets."""
 
@@ -343,33 +357,21 @@ class FreePoly(SparseCombination):
         return FreePoly._from_terms(self.alphabet, terms)
 
     def __pow__(self, k: int) -> "FreePoly":
-        """Repeated squaring.  Raises ResourceLimit when the power may have
-        more than TERM_BUDGET terms, by the smaller of (number of terms)^k
-        and words_within_degree(self, k), when max(k, k * degree)
-        exceeds LETTER_BUDGET, when k * coefficient_bits(self) exceeds
-        COEFF_BIT_BUDGET, or when the squaring_work bound on its term
-        products exceeds TERM_BUDGET."""
+        """Repeated squaring.  For k >= 2, raises ResourceLimit when
+        check_power refuses, counting the terms by the smaller of (number
+        of terms)^k and words_within_degree(self, k), or when the
+        squaring_work bound on its term products exceeds TERM_BUDGET."""
         if not isinstance(k, int) or k < 0:
             raise ValueError(f"exponent must be a non-negative integer, got {k!r}")
-        # one term has one word in every power, so only its length counts;
-        # while terms^k is within TERM_BUDGET, the products of the squarings
-        # stay within a small multiple of it
-        large = len(self) > 1 and capped_power(len(self), k) > TERM_BUDGET
-        if large:
-            check_budget(
-                min(capped_power(len(self), k), words_within_degree(self, k)),
-                f"terms of a {len(self)}-term polynomial to the power {k}",
-            )
         if k > 1:
-            check_letters(k, self.degree)
-            bits = k * coefficient_bits(self)
-            if bits > COEFF_BIT_BUDGET:
-                check_bits(bits, f"coefficients of a {len(self)}-term polynomial to the power {k}")
-        if large:
-            check_budget(
-                squaring_work(self, k),
-                f"term products of a {len(self)}-term polynomial to the power {k}",
-            )
+            # while terms^k is within TERM_BUDGET, the products of the squarings
+            # stay within a small multiple of it
+            terms = capped_power(len(self), k)
+            large = terms > TERM_BUDGET
+            check_power(self, k, min(terms, words_within_degree(self, k)) if large else terms)
+            if large:
+                what = f"term products of a {len(self)}-term polynomial to the power {k}"
+                check_budget(squaring_work(self, k), what)
         result = None
         base = self
         while k:

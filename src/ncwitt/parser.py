@@ -13,11 +13,11 @@ explicit '*'.  str(FreePoly) is the inverse: parsing a formatted
 polynomial returns it exactly.
 
 The unit of the one regular-expression scan is a plain product after its
-sign, such as - 3X^2YXY^2: its pieces (X^2, YXY^2) are found by one more
-match, and the word of a short piece is built once.  Only parenthesised
-factors take FreePoly products.  Exponents and each term's word are bounded
-by LETTER_BUDGET, coefficients by check_bits; a stray character or unknown
-name, if the text has one, is the error raised.
+sign, such as - 3X^2YXY^2.  One walk over its pieces (X^2, YXY^2) builds
+each, or finds a short one built before, and bounds the term's word as it
+grows.  Only parenthesised factors take FreePoly products.  Exponents (past
+20 digits, by their count) and each term's word are bounded by LETTER_BUDGET,
+coefficients by check_bits; a stray character or unknown name comes first.
 """
 
 from __future__ import annotations
@@ -74,13 +74,23 @@ def check_word(length: int) -> None:
         raise ResourceLimit(f"a term of {length:,} letters, {budget}")
 
 
+def _exponent(text: str | None) -> int:
+    """The exponent that text spells, 1 for none.  Past 20 significant digits,
+    beyond COUNT_CAP, it is refused by its digit count before int() runs."""
+    digits = (text or "1").lstrip().lstrip("0")
+    if len(digits) > 20:
+        budget = f"above the letter budget of {LETTER_BUDGET:,}"
+        raise ResourceLimit(f"an exponent of {len(digits):,} digits, {budget}")
+    return int(digits or 0)
+
+
 def _product(m, coeff: int, word: list, length: int, alphabet: Alphabet, words: dict, pieces_of):
     """coeff times the integer of product m; the word of its run is added
-    to word, each size bounded before it is built.  length is the term's
-    letters so far.  words keeps up to LETTER_BUDGET // 32 pieces of at
-    most 32 letters."""
+    to word, each piece bounded, in text order, before it is built.
+    length is the term's letters so far.  words keeps up to
+    LETTER_BUDGET // 32 pieces of at most 32 letters."""
     if m["int"]:
-        n = int(m["exp"] or 1)
+        n = _exponent(m["exp"])
         check_letters(n, 0)
         # before int() runs, which refuses over 4,300 digits
         check_bits(ceil(len(m["int"]) * log2(10)), "integer literal")
@@ -88,22 +98,19 @@ def _product(m, coeff: int, word: list, length: int, alphabet: Alphabet, words: 
         check_bits(n * base.bit_length(), "integer power")
         coeff *= base**n
         check_bits(coeff.bit_length(), "term coefficient")
-    pieces = pieces_of(m["run"])
-    parts = list(map(words.get, pieces))
-    if None in parts or sum(map(len, parts)) > LETTER_BUDGET - length:
-        for i, piece in enumerate(pieces):
-            if parts[i] is None:
-                names, _, exponent = piece.partition("^")
-                n = int(exponent or 1)
-                check_letters(n, 1)
-                gens = names.rstrip() if alphabet.single_char else (names.rstrip(),)
-                part = tuple(map(alphabet._index.__getitem__, gens))
-                parts[i] = part[:-1] + part[-1:] * n  # the exponent binds to the last letter
-                if len(parts[i]) <= 32 and len(words) < LETTER_BUDGET // 32:
-                    words[piece] = parts[i]
-            length += len(parts[i])
-            check_word(length)
-    for part in parts:
+    for piece in pieces_of(m["run"]):
+        part = words.get(piece)
+        if part is None:
+            names, _, exponent = piece.partition("^")
+            n = _exponent(exponent)
+            check_letters(n, 1)
+            gens = names.rstrip() if alphabet.single_char else (names.rstrip(),)
+            part = tuple(map(alphabet._index.__getitem__, gens))
+            part = part[:-1] + part[-1:] * n  # the exponent binds to the last letter
+            if len(part) <= 32 and len(words) < LETTER_BUDGET // 32:
+                words[piece] = part
+        length += len(part)
+        check_word(length)
         word += part
     return coeff
 
@@ -213,8 +220,7 @@ def _parse(text: str, alphabet: Alphabet) -> FreePoly:
                 terms, coeff, word, prefix, base = groups.pop()
                 if m["badexp"]:
                     raise ParseError("exponent must be a non-negative integer", m.end())
-                n = int(m["cexp"] or 1)
-                power = inner if n == 1 else inner**n
+                power = inner ** _exponent(m["cexp"])
                 check_word(base + len(word) + max(power.degree, 0))
                 prefix = _times_word(prefix, word, alphabet) * power
                 check_bits(coefficient_bits(prefix), "coefficients of a parenthesised product")

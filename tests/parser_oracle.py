@@ -3,8 +3,10 @@ one token per integer, name, operator and '^', read by a loop that looks
 for a '^' after every value.  Kept as an oracle for the differential tests
 in test_parser.py; parse_poly here must agree with ncwitt.parse_poly on
 every text, in value or in exception type, message and position.  It
-has one check the first version lacked: the letter budget bounds the word
-of each term, plain or through parenthesised products (check_word)."""
+has two checks the first version lacked: the letter budget bounds the word
+of each term, plain or through parenthesised products (check_word), and an
+exponent of more than 20 significant digits is refused by its digit
+count."""
 
 from __future__ import annotations
 
@@ -73,7 +75,13 @@ def _exponent(tokens, i: int) -> tuple[int, int]:
     kind, text, position = tokens[i + 1]
     if kind != "int":
         raise ParseError("exponent must be a non-negative integer", position)
-    return int(text), i + 2
+    # past COUNT_CAP; counted before int() runs, which refuses over 4,300 digits
+    digits = text.lstrip("0")
+    if len(digits) > 20:
+        raise ResourceLimit(
+            f"an exponent of {len(digits):,} digits, above the letter budget of {LETTER_BUDGET:,}"
+        )
+    return int(digits or 0), i + 2
 
 
 def _times_word(prefix: FreePoly | None, word: list[int], alphabet: Alphabet) -> FreePoly:

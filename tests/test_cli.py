@@ -239,6 +239,16 @@ class TestResourceGuard:
         assert bound in err
         assert "letter budget" in err
 
+    @pytest.mark.parametrize("base", ["X", "(X)", "2"])
+    def test_long_exponents_refused_by_their_digits(self, capture, base):
+        # not Python's message about its 4,300-digit limit, nor the number
+        code, out, err = capture("abelianize", "--", base + "^" + "9" * 5000)
+        assert (code, out) == (1, "")
+        assert err == "error: an exponent of 5,000 digits, above the letter budget of 4,096"
+
+    def test_leading_zeros_of_an_exponent_are_dropped(self, capture):
+        assert capture("abelianize", "--", "X^" + "0" * 5000 + "3") == (0, "[X^3]", "")
+
     @pytest.mark.parametrize("text", ["99999^999", "7" * 5000, "((9^999)^999)^9"])
     def test_large_coefficients_refused_within_a_second(self, capture, text):
         # not Python's message about its 4,300-digit limit on int and str

@@ -52,6 +52,31 @@ def top_level_imports(source: str) -> set[str]:
     return found - {"__future__"}
 
 
+BUDGET_CHECKS = {"check_budget", "check_letters", "check_bits"}
+
+
+def budget_calls(source: str) -> set[str]:
+    """The names in BUDGET_CHECKS that source calls, bare or as attributes."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            found.add(func.id if isinstance(func, ast.Name) else getattr(func, "attr", None))
+    return found & BUDGET_CHECKS
+
+
+def test_budget_checks_are_called_from_freealg_and_parser_only():
+    # each budget decision is made in one module: a power's in freealg's
+    # check_power, a parsed term's in the parser
+    callers = {p.name for p in PACKAGE.glob("*.py") if budget_calls(p.read_text())}
+    assert callers == {"freealg.py", "parser.py"}
+
+
+def test_detects_a_budget_check_call():
+    source = "from .freealg import check_bits\ncheck_bits(1, 'x')\nfreealg.check_letters(2, 1)\n"
+    assert budget_calls(source) == {"check_bits", "check_letters"}
+
+
 def test_package_imports_the_pinned_stdlib_modules():
     found = set().union(*(top_level_imports(p.read_text()) for p in PACKAGE.glob("*.py")))
     assert found == STDLIB_IMPORTS

@@ -243,6 +243,46 @@ class TestAgainstOracle:
         for alphabet in ORACLE_ALPHABETS:
             assert_agrees_with_oracle(text, alphabet)
 
+    @pytest.mark.parametrize(
+        "text",
+        ["X^" + "9" * 4301, "X^" + "0" * 4301 + "9" * 4301, "X^" + "0" * 5000 + "3",
+         "X ^ " + "0" * 4400 + "2", "XY^" + "7" * 5000 + "X", "(X)^" + "9" * 5000,
+         "(X+Y)^" + "0" * 5000 + "2", "(X)^" + "0" * 300 + "9" * 4301, "2^" + "9" * 5000,
+         "2^" + "0" * 5000 + "3", "9" * 4301, "0" * 4301 + "7", "9" * 5000 + "X",
+         "X^" + "9" * 4301 + "@", "Ab^" + "9" * 4301, "X^" + "9" * 20, "(XY)^" + "9" * 21],
+        ids=lambda text: re.sub(r"(\d)\1+", lambda m: f"{m[1]}{{{len(m[0])}}}", text),
+    )
+    def test_long_digit_runs(self, text):
+        # Python's int() refuses more than 4,300 digits; the parser's own
+        # errors, or a value, come out instead
+        for alphabet in ORACLE_ALPHABETS:
+            assert_agrees_with_oracle(text, alphabet)
+            result = outcome(parse_poly, text, alphabet)
+            assert isinstance(result, FreePoly) or result[0] in (
+                ParseError, UnknownGenerator, ResourceLimit
+            ), (text, alphabet, result)
+
+    @pytest.mark.parametrize(
+        "text, letters",
+        [
+            # every piece of the long term was cached by the term before it
+            ("XY^2 + " + "XY^2" * 1366, 4098),
+            # the crossing piece is the first YX^2
+            ("XY^2 - " + "XY^2" * 1365 + "YX^2", 4098),
+            ("XY^2 + " + "XY^2" * 1365 + "X^2", 4097),
+            # after a parenthesised factor, and between two
+            ("XY^2 + (X^98)" + "XY^2" * 1333, 4097),
+            ("XY^2 + (X^98)" + "XY^2" * 1333 + "(Y)", 4097),
+            ("XY^2 + 3(X^49 - 2)^2" + "XY^2" * 1333 + "X", 4097),
+        ],
+        ids=["cached", "new YX^2", "new X^2", "after (X^98)", "between parens", "after a power"],
+    )
+    def test_word_budget_through_cached_pieces(self, text, letters):
+        ab = Alphabet(["X", "Y"])
+        assert_agrees_with_oracle(text, ab)
+        with pytest.raises(ResourceLimit, match=f"^a term of {letters:,} letters,"):
+            parse_poly(text, ab)
+
     def test_seeded_sweep(self):
         rng = random.Random(2017)
         valid = 0
